@@ -1,14 +1,18 @@
 //! Criterion microbench of the SIMD evaluation plane: one
-//! `PackedProg::eval_lanes` sweep at lane widths 1/8/16 versus the
+//! `PackedProg::eval_lanes` sweep at lane widths 1 to 64 versus the
 //! equivalent scalar `PackedProg::eval` per lane, across all six paper
-//! apps. This is the kernel the engine's lane-batched pre-evaluation
-//! phase (`simperf`'s headline path) stands on; the differential tests
-//! in `fleet-isim`/`fleet-compiler` pin the two paths bit-equal, this
-//! bench tracks the throughput gap between them.
+//! apps; the narrow `eval_lanes32` plane on two apps that admit it; and
+//! a whole `PuExecBatch::sweep` (instruction sweep + guarded-op walk),
+//! which is what one engine cycle pays per lane group. This is the
+//! layer the engine's lane-batched pre-evaluation phase (`simperf`'s
+//! headline path) stands on; the differential tests in
+//! `fleet-isim`/`fleet-compiler` pin the paths bit-equal, this bench
+//! tracks their cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use fleet_apps::{App, AppKind};
+use fleet_compiler::{CompiledUnit, PuExec, PuExecBatch, PuIn, MAX_LANES};
 use fleet_isim::{bytes_to_tokens, PackedProg, SsaProg, UnitState};
 
 const WIDTHS: [usize; 5] = [1, 8, 16, 32, 64];
@@ -100,9 +104,76 @@ fn bench_lane_eval(c: &mut Criterion) {
     }
 }
 
+/// The `u32` plane (`PuExecBatch` picks it whenever every value of the
+/// unit fits 32 bits) on a register-heavy app and a tiny one.
+fn bench_lane_eval32(c: &mut Criterion) {
+    for kind in [AppKind::Smith, AppKind::Regex] {
+        let fx = fixture(kind, MAX_LANES);
+        assert!(fx.packed.fits_u32(), "{} left the narrow plane", fx.name);
+        let mut g = c.benchmark_group(format!("lane_eval32/{}", fx.name));
+        for width in [8, MAX_LANES] {
+            g.throughput(Throughput::Elements(width as u64));
+            let mut plane = vec![0u32; fx.slots * width];
+            for (s, &v) in fx.seed.iter().enumerate() {
+                plane[s * width..(s + 1) * width].fill(v as u32);
+            }
+            let states: Vec<&UnitState> = fx.states[..width].iter().collect();
+            g.bench_function(&format!("lanes_x{width}"), |b| {
+                b.iter(|| {
+                    fx.packed.eval_lanes32(
+                        std::hint::black_box(&states),
+                        &fx.inputs[..width],
+                        &fx.finished[..width],
+                        width,
+                        &mut plane,
+                    );
+                    std::hint::black_box(&plane);
+                })
+            });
+        }
+        g.finish();
+    }
+}
+
+/// One `PuExecBatch::sweep` over replicas that each hold a latched
+/// token from their own stream: the instruction sweep on whichever
+/// plane the unit admits, then the guarded-op walk into per-lane
+/// pending writes.
+fn bench_batch_sweep(c: &mut Criterion) {
+    for kind in AppKind::all() {
+        let app = App::new(kind);
+        let spec = app.spec();
+        let unit = CompiledUnit::new(&spec);
+        let pus: Vec<PuExec> = (0..MAX_LANES)
+            .map(|l| {
+                let stream = app.gen_stream(l as u64, 256);
+                let tokens = bytes_to_tokens(&stream, spec.input_token_bits).expect("whole tokens");
+                let mut pu = unit.replicate();
+                pu.tick(&PuIn {
+                    input_token: tokens.get(l).copied().unwrap_or(l as u64),
+                    input_valid: true,
+                    ..PuIn::default()
+                });
+                assert!(pu.lane_pending());
+                pu
+            })
+            .collect();
+        let mut g = c.benchmark_group(format!("batch_sweep/{}", app.name()));
+        for width in [8, MAX_LANES] {
+            g.throughput(Throughput::Elements(width as u64));
+            let mut batch = PuExecBatch::for_unit(&pus[0], width);
+            let lanes: Vec<&PuExec> = pus[..width].iter().collect();
+            g.bench_function(&format!("lanes_x{width}"), |b| {
+                b.iter(|| batch.sweep(std::hint::black_box(&lanes)))
+            });
+        }
+        g.finish();
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_lane_eval
+    targets = bench_lane_eval, bench_lane_eval32, bench_batch_sweep
 }
 criterion_main!(benches);

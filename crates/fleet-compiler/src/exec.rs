@@ -553,6 +553,10 @@ fn walk_ops(
     emit
 }
 
+/// Most lanes one [`PuExecBatch`] holds: the guarded-op walk keeps its
+/// firing, written and loop-phase lane sets in one `u64` bitmask each.
+pub const MAX_LANES: usize = 64;
+
 /// A lane-major evaluation plane shared by up to `width` replicas of
 /// one compiled program — the SIMD half of the simulator hot path.
 ///
@@ -639,6 +643,29 @@ impl LaneVal for u32 {
     }
 }
 
+/// Packs a row's nonzero test into a lane bitmask (bit `l` = lane `l`),
+/// eight lanes at a time: the fixed-size inner loop compiles to a vector
+/// compare plus a movemask, where one shift-and-OR per lane is a serial
+/// dependency chain through the mask.
+#[inline]
+fn nonzero_mask<T: LaneVal>(row: &[T]) -> u64 {
+    debug_assert!(row.len() <= MAX_LANES);
+    let mut m = 0u64;
+    let mut chunks = row.chunks_exact(8);
+    for (c, chunk) in chunks.by_ref().enumerate() {
+        let mut byte = 0u8;
+        for (i, &v) in chunk.iter().enumerate() {
+            byte |= u8::from(v.widen() != 0) << i;
+        }
+        m |= u64::from(byte) << (8 * c);
+    }
+    let done = row.len() - chunks.remainder().len();
+    for (i, &v) in chunks.remainder().iter().enumerate() {
+        m |= u64::from(v.widen() != 0) << (done + i);
+    }
+    m
+}
+
 /// Caller-owned scratch and precomputed tables for
 /// [`walk_lane_rows`], all recycled across sweeps (see the matching
 /// [`PuExecBatch`] fields for the invariants).
@@ -673,32 +700,19 @@ fn walk_lane_rows<T: LaneVal>(
     pending: &mut [PendingWrites],
     tables: WalkTables<'_>,
 ) {
-    assert!(n <= 64, "lane group exceeds the walk's 64-lane bitmask");
+    assert!(n <= MAX_LANES, "lane group exceeds the walk's lane bitmask");
     let WalkTables { guard_slots, op_guards, guard_masks, reg_lanes, bram_lanes } = tables;
     let row = |s: Slot| &plane[s as usize * width..s as usize * width + n];
-    let full: u64 = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
+    let full: u64 = if n >= MAX_LANES { u64::MAX } else { (1u64 << n) - 1 };
 
-    loop_active[..n].fill(false);
-    for &s in &opt.loop_conds {
-        for (la, &v) in loop_active.iter_mut().zip(row(s)) {
-            *la |= v.widen() != 0;
-        }
-    }
-    let mut loop_mask = 0u64;
-    for (l, &la) in loop_active[..n].iter().enumerate() {
-        loop_mask |= u64::from(la) << l;
-    }
+    let loop_mask = opt.loop_conds.iter().fold(0u64, |m, &s| m | nonzero_mask(row(s)));
     for l in 0..n {
+        loop_active[l] = (loop_mask >> l) & 1 != 0;
         pending[l].clear();
         emits[l] = None;
     }
-    for (gi, &g) in guard_slots.iter().enumerate() {
-        let rg = row(g);
-        let mut gm = 0u64;
-        for (l, &v) in rg.iter().enumerate() {
-            gm |= u64::from(v.widen() != 0) << l;
-        }
-        guard_masks[gi] = gm;
+    for (gm, &g) in guard_masks.iter_mut().zip(guard_slots) {
+        *gm = nonzero_mask(row(g));
     }
     reg_lanes.fill(0);
     bram_lanes.fill(0);
@@ -776,11 +790,14 @@ fn walk_lane_rows<T: LaneVal>(
 }
 
 impl PuExecBatch {
-    /// Builds a `width`-lane plane for `pu`'s compiled program (widths
-    /// below 1 are clamped to 1). Any replica of the same
-    /// [`CompiledUnit`] can occupy any lane.
+    /// Builds a `width`-lane plane for `pu`'s compiled program. Any
+    /// replica of the same [`CompiledUnit`] can occupy any lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `width` is in `1..=MAX_LANES`.
     pub fn for_unit(pu: &PuExec, width: usize) -> PuExecBatch {
-        let width = width.clamp(1, 64);
+        assert!((1..=MAX_LANES).contains(&width), "batch width {width} outside 1..={MAX_LANES}");
         let slots = pu.opt.slots();
         let plane = if pu.plane32 {
             let mut p = vec![0u32; slots * width];
@@ -881,10 +898,10 @@ impl PuExecBatch {
         assert!(!lanes.is_empty(), "empty lane group");
         self.inputs.clear();
         self.finished.clear();
-        // Stack-resident gather: a group never exceeds 64 lanes (the
-        // walk's firing-lane bitmask), so a fixed array avoids a heap
-        // allocation on every sweep of the hot loop.
-        let mut states: [&UnitState; 64] = [&lanes[0].state; 64];
+        // Stack-resident gather: a group never exceeds `MAX_LANES`, so
+        // a fixed array avoids a heap allocation on every sweep of the
+        // hot loop.
+        let mut states: [&UnitState; MAX_LANES] = [&lanes[0].state; MAX_LANES];
         for (slot, pu) in states.iter_mut().zip(lanes) {
             debug_assert!(pu.lane_pending(), "swept unit is not awaiting evaluation");
             debug_assert!(self.matches(pu), "swept unit runs a different program");
@@ -1235,6 +1252,78 @@ mod tests {
             assert_eq!(batched[l].vcycles(), control[l].vcycles());
             assert_eq!(batched[l].counters(), control[l].counters());
             assert_eq!(batched[l].state().regs, control[l].state().regs);
+        }
+    }
+
+    /// [`walk_lane_rows`] must leave every swept lane exactly what
+    /// [`walk_ops`] computes from that lane's own scalar evaluation —
+    /// on the six paper apps, with divergent lanes, at lane counts on
+    /// both sides of the eight-lane groups the guard masks are packed
+    /// in.
+    #[test]
+    fn lane_walk_matches_per_lane_walk_on_all_apps() {
+        use fleet_apps::{App, AppKind};
+        use fleet_isim::bytes_to_tokens;
+
+        /// One unstalled engine cycle on the unit's own evaluation path.
+        fn tick(pu: &mut PuExec, tokens: &[u64], pos: &mut usize) {
+            let have = *pos < tokens.len();
+            let pins = PuIn {
+                input_token: if have { tokens[*pos] } else { 0 },
+                input_valid: have,
+                input_finished: !have,
+                output_ready: true,
+            };
+            if pu.tick(&pins).input_ready && have {
+                *pos += 1;
+            }
+        }
+
+        for kind in AppKind::all() {
+            let app = App::new(kind);
+            let spec = app.spec();
+            let unit = CompiledUnit::new(&spec);
+            let streams: Vec<Vec<u64>> = (0..MAX_LANES as u64)
+                .map(|l| {
+                    bytes_to_tokens(&app.gen_stream(l + 1, 2048), spec.input_token_bits)
+                        .expect("whole tokens")
+                })
+                .collect();
+            let mut pus: Vec<PuExec> = (0..MAX_LANES).map(|_| unit.replicate()).collect();
+            let mut pos = vec![0usize; MAX_LANES];
+            // Stagger the replicas so registers, BRAMs and loop phases
+            // differ from lane to lane.
+            for l in 0..MAX_LANES {
+                for _ in 0..3 * l + 5 {
+                    tick(&mut pus[l], &streams[l], &mut pos[l]);
+                }
+            }
+            let mut batch = PuExecBatch::for_unit(&pus[0], MAX_LANES);
+            let mut vals = unit.opt.seed_vals();
+            for n in [1, 2, 7, 8, 9, 31, 33, 47, 63, 64] {
+                for round in 0..4 {
+                    let lanes: Vec<&PuExec> = pus[..n].iter().collect();
+                    let pending = lanes.iter().all(|pu| pu.lane_pending());
+                    assert!(pending, "{}: a stream ran dry", app.name());
+                    batch.sweep(&lanes);
+                    for (l, pu) in lanes.iter().enumerate() {
+                        unit.packed.eval(&pu.state, pu.i, pu.f, &mut vals);
+                        let loop_active = unit.opt.any_loop(&vals);
+                        let mut want = PendingWrites::default();
+                        let emit =
+                            walk_ops(&unit.opt, &pu.state, loop_active, |s| vals[s as usize], &mut want);
+                        let at = format!("{}: lane {l} of {n}, round {round}", app.name());
+                        assert_eq!(batch.loop_active[l], loop_active, "{at}");
+                        assert_eq!(batch.emits[l], emit, "{at}");
+                        assert_eq!(batch.pending[l].regs, want.regs, "{at}");
+                        assert_eq!(batch.pending[l].vec_regs, want.vec_regs, "{at}");
+                        assert_eq!(batch.pending[l].brams, want.brams, "{at}");
+                    }
+                    for l in 0..MAX_LANES {
+                        tick(&mut pus[l], &streams[l], &mut pos[l]);
+                    }
+                }
+            }
         }
     }
 

@@ -53,6 +53,6 @@ pub mod harness;
 pub mod lower;
 
 pub use error::CompileError;
-pub use exec::{CompiledUnit, PuExec, PuExecBatch, PuIn, PuOut, Quiescence};
+pub use exec::{CompiledUnit, PuExec, PuExecBatch, PuIn, PuOut, Quiescence, MAX_LANES};
 pub use harness::NetDriver;
 pub use lower::compile;

@@ -354,6 +354,10 @@ impl SsaProg {
     ///   operation, guard, or loop condition depends on are removed,
     ///   and surviving constants are moved to a prefix that is baked
     ///   into [`SsaProg::seed_vals`] and skipped by [`SsaProg::eval`].
+    /// - **Register-read grouping**: the live register reads follow the
+    ///   constants as one run of slots in register order, which
+    ///   [`PackedProg`] fills with a single pass over each unit's
+    ///   register file.
     ///
     /// The original program is kept as the seed-faithful reference
     /// evaluation path; equivalence between the two is enforced by the
@@ -609,10 +613,12 @@ impl SsaProg {
                 live
             } else {
                 // Guards are "nonzero" tests of arbitrary-width values,
-                // so normalise each to 1 bit before AND-combining. CSE
-                // shares the chains across ops with common prefixes.
+                // so normalise each to 1 bit before AND-combining
+                // (`add` leaves a value that is already 1 bit wide as
+                // it is). CSE shares the chains across ops with common
+                // prefixes.
                 let nz = |o: &mut Opt, s: Slot| {
-                    o.intern(Node::Unary { op: UnaryOp::ReduceOr, a: s, aw: 64, w: 1 })
+                    o.add(Node::Unary { op: UnaryOp::ReduceOr, a: s, aw: 64, w: 1 })
                 };
                 let mut acc = nz(&mut o, live[0]);
                 for &gs in &live[1..] {
@@ -702,8 +708,12 @@ impl SsaProg {
         }
 
         // Compact: surviving constants first (hoisted out of the
-        // per-cycle sweep into the seed buffer), then the live nodes in
-        // their original topological order, operand slots rewritten.
+        // per-cycle sweep into the seed buffer), then the live register
+        // reads in register order (one contiguous run of rows that
+        // [`PackedProg`] stages per lane instead of per register; CSE
+        // left at most one read per register), then the other live
+        // nodes in their original topological order, operand slots
+        // rewritten.
         let mut remap: Vec<Slot> = vec![Slot::MAX; n2];
         let mut nodes: Vec<Node> = Vec::new();
         let mut seed: Vec<u64> = Vec::new();
@@ -715,17 +725,31 @@ impl SsaProg {
             }
         }
         let eval_from = nodes.len();
+        let mut reg_reads: Vec<(u32, usize)> = o
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| match n {
+                Node::Reg(r) if used[i] => Some((*r, i)),
+                _ => None,
+            })
+            .collect();
+        reg_reads.sort_unstable();
+        for &(r, i) in &reg_reads {
+            remap[i] = nodes.len() as Slot;
+            nodes.push(Node::Reg(r));
+            seed.push(0);
+        }
         for (i, n) in o.nodes.iter().enumerate() {
-            if !used[i] || matches!(n, Node::Const(_)) {
+            if !used[i] || matches!(n, Node::Const(_) | Node::Reg(_)) {
                 continue;
             }
             remap[i] = nodes.len() as Slot;
             let r = |s: Slot| remap[s as usize];
             nodes.push(match n {
-                Node::Const(_) => unreachable!("constants hoisted above"),
+                Node::Const(_) | Node::Reg(_) => unreachable!("placed above"),
                 Node::Input => Node::Input,
                 Node::StreamFinished => Node::StreamFinished,
-                Node::Reg(x) => Node::Reg(*x),
                 Node::VecReg { vr, idx } => Node::VecReg { vr: *vr, idx: r(*idx) },
                 Node::BramRead { bram, addr, aw } => {
                     Node::BramRead { bram: *bram, addr: r(*addr), aw: *aw }
@@ -793,7 +817,8 @@ enum PackedOp {
     Input,
     /// Stream-finished flag.
     Finished,
-    /// Register read (`a` is the register index).
+    /// Register read outside the leading run (`a` is the register
+    /// index); [`SsaProg::optimized`] output has none.
     Reg,
     /// Vector-register element read (`b` is the vector index, `a` the
     /// index slot; out-of-range selects element 0).
@@ -866,8 +891,10 @@ struct PackedInst {
 /// `u64`, so the per-cycle sweep is a single dense match per node with
 /// an unconditional masking AND.
 ///
-/// Slot numbering is shared with the source program: instruction `j`
-/// writes slot `eval_from + j`, exactly like the source's node sweep.
+/// Slot numbering is shared with the source program: the leading run of
+/// register reads fills slots `eval_from..`, and instruction `j` writes
+/// the slot `j` places after that run, exactly like the source's node
+/// sweep.
 /// Buffers seeded from the source's [`SsaProg::seed_vals`] and the
 /// source's `loop_conds`/`ops` therefore remain valid against buffers
 /// evaluated here, and the two evaluators are interchangeable
@@ -877,6 +904,15 @@ struct PackedInst {
 pub struct PackedProg {
     /// First slot written; lower slots hold build-time constants.
     base: usize,
+    /// Registers read into slots `base..base + reg_run.len()`: the
+    /// source's leading run of register-read nodes, which
+    /// [`SsaProg::optimized`] makes all of them, in register order. The
+    /// lane sweep fills these rows lane by lane — one [`UnitState`]
+    /// dereference and one pass over its register file per lane —
+    /// where a per-register instruction would chase `states[l]` →
+    /// `regs` → `regs[r]` once per (register, lane) pair.
+    reg_run: Vec<u32>,
+    /// Instruction `j` writes slot `base + reg_run.len() + j`.
     insts: Vec<PackedInst>,
 }
 
@@ -901,12 +937,21 @@ macro_rules! eval_lanes_body {
         assert!(n <= $width, "lane count {n} exceeds plane width {}", $width);
         assert_eq!($inputs.len(), n);
         assert_eq!($finished.len(), n);
-        assert!($vals.len() >= ($self.base + $self.insts.len()) * $width);
+        let first = $self.base + $self.reg_run.len();
+        assert!($vals.len() >= (first + $self.insts.len()) * $width);
+        // Register reads, lane-outer (see [`PackedProg::reg_run`]).
+        let run = &mut $vals[$self.base * $width..first * $width];
+        for (l, st) in $states.iter().enumerate() {
+            let regs = &st.regs[..];
+            for (row, &r) in run.chunks_exact_mut($width).zip(&$self.reg_run) {
+                row[l] = regs[r as usize] as $t;
+            }
+        }
         for (j, inst) in $self.insts.iter().enumerate() {
             // Operand rows all precede the output row, so splitting the
             // plane at the output row proves disjointness to the
             // borrow checker without any per-element aliasing checks.
-            let (lo, hi) = $vals.split_at_mut(($self.base + j) * $width);
+            let (lo, hi) = $vals.split_at_mut((first + j) * $width);
             let out = &mut hi[..n];
             let a = inst.a as usize;
             let b = inst.b as usize;
@@ -1052,21 +1097,24 @@ macro_rules! eval_lanes_body {
                     let rc = row(inst.c as usize);
                     for l in 0..n {
                         // Branch-free select: both arms are already
-                        // evaluated rows, exactly the masked-op/select
-                        // idiom for divergent lanes.
-                        out[l] = (if ra[l] != 0 { rb[l] } else { rc[l] }) & m;
+                        // evaluated rows, so blend them under an
+                        // all-ones/all-zeros lane mask.
+                        let k = (0 as $t).wrapping_sub((ra[l] != 0) as $t);
+                        out[l] = ((rb[l] & k) | (rc[l] & !k)) & m;
                     }
                 }
                 PackedOp::Slice => {
                     let ra = row(a);
+                    let sh = inst.c;
                     for l in 0..n {
-                        out[l] = (ra[l] >> inst.c) & m;
+                        out[l] = (ra[l] >> sh) & m;
                     }
                 }
                 PackedOp::Concat => {
                     let (ra, rb) = (row(a), row(b));
+                    let sh = inst.c;
                     for l in 0..n {
-                        out[l] = ((ra[l] << inst.c) | rb[l]) & m;
+                        out[l] = ((ra[l] << sh) | rb[l]) & m;
                     }
                 }
             }
@@ -1078,7 +1126,15 @@ impl PackedProg {
     /// Re-encodes `prog`'s node sweep. The packed form evaluates the
     /// same slots to the same values as [`SsaProg::eval`] on `prog`.
     pub fn new(prog: &SsaProg) -> PackedProg {
-        let insts = prog.nodes[prog.eval_from..]
+        let live = &prog.nodes[prog.eval_from..];
+        let reg_run: Vec<u32> = live
+            .iter()
+            .map_while(|n| match n {
+                Node::Reg(r) => Some(*r),
+                _ => None,
+            })
+            .collect();
+        let insts = live[reg_run.len()..]
             .iter()
             .map(|n| {
                 let mut inst = PackedInst { op: PackedOp::Input, a: 0, b: 0, c: 0, m: 0 };
@@ -1163,7 +1219,7 @@ impl PackedProg {
                 inst
             })
             .collect();
-        PackedProg { base: prog.eval_from, insts }
+        PackedProg { base: prog.eval_from, reg_run, insts }
     }
 
     /// Evaluates one virtual cycle into `vals` — bit-identical to
@@ -1174,7 +1230,10 @@ impl PackedProg {
     /// Panics if `vals` is shorter than the source program's
     /// [`SsaProg::slots`].
     pub fn eval(&self, state: &UnitState, input: u64, finished: bool, vals: &mut [u64]) {
-        for (i, inst) in (self.base..).zip(self.insts.iter()) {
+        for (v, &r) in vals[self.base..].iter_mut().zip(&self.reg_run) {
+            *v = state.regs[r as usize];
+        }
+        for (i, inst) in (self.base + self.reg_run.len()..).zip(self.insts.iter()) {
             let a = inst.a as usize;
             let b = inst.b as usize;
             let m = inst.m;
@@ -1239,8 +1298,8 @@ impl PackedProg {
     ///
     /// Lane `l` of slot `s` lives at `vals[s * width + l]`. Rows below
     /// `base` hold build-time constants replicated across all lanes
-    /// (seed each row from [`SsaProg::seed_vals`]); instruction `j`
-    /// rewrites lanes `0..states.len()` of row `base + j`. For each lane
+    /// (seed each row from [`SsaProg::seed_vals`]); every later row has
+    /// its lanes `0..states.len()` rewritten. For each lane
     /// `l` the values written are bit-identical to
     /// [`PackedProg::eval`] over `(states[l], inputs[l], finished[l])` —
     /// divergence between lanes (guards, loop phases, BRAM addresses)

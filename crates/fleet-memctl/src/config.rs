@@ -1,5 +1,7 @@
 //! Memory-controller configuration (§5 of the paper).
 
+use fleet_compiler::MAX_LANES;
+
 /// Input/output addressing-unit behaviour.
 ///
 /// Blocking units wait at each processing unit in round-robin order until
@@ -51,7 +53,8 @@ pub struct MemCtlConfig {
     /// a virtual-cycle evaluation are swept together through one
     /// `PackedProg` instruction walk over a lane-major value plane.
     /// Bit-exact at every width (gated by the engine-equivalence
-    /// tests); 1 disables batching.
+    /// tests); 1 disables batching, and [`MAX_LANES`] is the most a
+    /// sweep holds.
     pub lane_width: usize,
 }
 
@@ -104,7 +107,8 @@ impl MemCtlConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero sizes or a burst that is not whole 64-byte beats.
+    /// Panics on zero sizes, a burst that is not whole 64-byte beats, or
+    /// a lane width outside `1..=MAX_LANES`.
     pub fn check(&self) {
         assert!(self.burst_bytes > 0 && self.burst_bytes.is_multiple_of(fleet_axi::BEAT_BYTES),
             "burst must be a whole number of 512-bit beats");
@@ -115,6 +119,21 @@ impl MemCtlConfig {
             "input buffer must hold at least one burst");
         assert!(self.output_buffer_bytes >= self.burst_bytes,
             "output buffer must hold at least one burst");
-        assert!(self.lane_width >= 1, "need at least one evaluation lane");
+        assert!(
+            (1..=MAX_LANES).contains(&self.lane_width),
+            "lane_width {} outside 1..={MAX_LANES} (one sweep's lane bitmask)",
+            self.lane_width
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "lane_width 65 outside 1..=64")]
+    fn check_rejects_a_lane_width_one_sweep_cannot_hold() {
+        MemCtlConfig { lane_width: MAX_LANES + 1, ..MemCtlConfig::default() }.check();
     }
 }

@@ -56,7 +56,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use fleet_axi::{ChannelStats, DramChannel, BEAT_BYTES};
-use fleet_compiler::{PuExec, PuExecBatch, PuIn, Quiescence};
+use fleet_compiler::{PuExec, PuExecBatch, PuIn, Quiescence, MAX_LANES};
 use fleet_trace::{
     ChannelTrace, CounterSink, CycleClass, DramCounters, EventKind, NullSink, Probe, QueueKind,
     SignalId, TraceSink,
@@ -140,9 +140,15 @@ impl ByteFifo {
     /// Reads the front `bytes` bytes as a little-endian token.
     #[inline]
     fn peek_token(&self, bytes: usize) -> u64 {
-        debug_assert!(bytes <= 8 && self.len() >= bytes);
+        debug_assert!((1..=8).contains(&bytes) && self.len() >= bytes);
+        let front = &self.buf[self.head..];
+        if let Some(word) = front.first_chunk::<8>() {
+            // One fixed-size load and a mask instead of a
+            // variable-length copy.
+            return u64::from_le_bytes(*word) & (u64::MAX >> (64 - 8 * bytes));
+        }
         let mut raw = [0u8; 8];
-        raw[..bytes].copy_from_slice(&self.buf[self.head..self.head + bytes]);
+        raw[..bytes].copy_from_slice(&front[..bytes]);
         u64::from_le_bytes(raw)
     }
 
@@ -441,9 +447,6 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
     batch: &mut Option<PuExecBatch>,
     group: &mut Vec<usize>,
 ) {
-    // The walk's firing-lane bitmask caps a group at 64 lanes
-    // ([`PuExecBatch::for_unit`] clamps identically).
-    let width = width.min(64);
     if width <= 1 || active.len() < 2 {
         return;
     }
@@ -471,10 +474,11 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
             continue; // a lone lane gains nothing over the scalar path
         }
         {
-            // Stack-resident lane list: chunks are capped at 64 lanes,
-            // so no heap allocation per sweep.
+            // Stack-resident lane list: `MemCtlConfig::check` caps the
+            // width, and so every chunk, at `MAX_LANES`, so no heap
+            // allocation per sweep.
             let anchor = units[chunk[0] - base].lane_exec().expect("grouped above");
-            let mut lanes: [&PuExec; 64] = [anchor; 64];
+            let mut lanes: [&PuExec; MAX_LANES] = [anchor; MAX_LANES];
             for (slot, &p) in lanes.iter_mut().zip(chunk) {
                 *slot = units[p - base].lane_exec().expect("grouped above");
             }
@@ -2097,5 +2101,34 @@ impl<U: StreamUnit> ChannelEngine<U, CounterSink> {
             &self.unit_vcycles(),
             dram_counters(self.ctl.dram.stats()),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ByteFifo;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `peek_token` reads the front token at every head position a
+        /// draining FIFO passes through: mid-buffer (one 8-byte load),
+        /// across compaction, and in the last 7 bytes before the end of
+        /// the buffer, where 8 bytes are no longer there to load.
+        #[test]
+        fn peek_token_reads_the_front_at_every_head(
+            data in proptest::collection::vec(any::<u8>(), 1100..=2600),
+            bytes in 1usize..=8,
+        ) {
+            let mut fifo = ByteFifo::with_capacity(64);
+            fifo.push_slice(&data);
+            let mut compacted = false;
+            for h in 0..=data.len() - bytes {
+                let want = data[h..h + bytes].iter().rev().fold(0u64, |t, &b| t << 8 | u64::from(b));
+                prop_assert_eq!(fifo.peek_token(bytes), want, "head {} of {}", h, data.len());
+                fifo.pop_front_bytes(1);
+                compacted |= fifo.head == 0 && !fifo.is_empty();
+            }
+            prop_assert!(compacted, "a {}-byte drain never compacted", data.len());
+        }
     }
 }
