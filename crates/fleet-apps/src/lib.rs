@@ -13,6 +13,7 @@
 //! including the paper's Figure 7 processing-unit counts.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bloom;
 pub mod intcode;

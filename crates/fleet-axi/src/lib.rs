@@ -23,6 +23,7 @@
 //! peak.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 

@@ -16,6 +16,7 @@
 //!   memory-controller transfers, area multipliers).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod apps;
 pub mod cpu;

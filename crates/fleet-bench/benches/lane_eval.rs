@@ -2,12 +2,15 @@
 //! `PackedProg::eval_lanes` sweep at lane widths 1 to 64 versus the
 //! equivalent scalar `PackedProg::eval` per lane, across all six paper
 //! apps; the narrow `eval_lanes32` plane on two apps that admit it; and
-//! a whole `PuExecBatch::sweep` (instruction sweep + guarded-op walk),
-//! which is what one engine cycle pays per lane group. This is the
+//! a whole `PuExecBatch::retire` (instruction sweep + guarded-op walk
+//! committing into the units) plus the units' fused clock step, which
+//! is what one engine cycle pays per lane group. This is the
 //! layer the engine's lane-batched pre-evaluation phase (`simperf`'s
 //! headline path) stands on; the differential tests in
 //! `fleet-isim`/`fleet-compiler` pin the paths bit-equal, this bench
 //! tracks their cost.
+
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -135,36 +138,76 @@ fn bench_lane_eval32(c: &mut Criterion) {
     }
 }
 
-/// One `PuExecBatch::sweep` over replicas that each hold a latched
-/// token from their own stream: the instruction sweep on whichever
-/// plane the unit admits, then the guarded-op walk into per-lane
-/// pending writes.
-fn bench_batch_sweep(c: &mut Criterion) {
+/// Steps `pu` (untimed) until it again holds a latched token with no
+/// evaluation: a stalled lane's emission is accepted, an idle lane is
+/// fed its stream's next token.
+fn relatch(pu: &mut PuExec, tokens: &[u64], pos: &mut usize) {
+    while !pu.lane_pending() {
+        let pins = PuIn {
+            input_token: tokens[*pos % tokens.len()],
+            input_valid: true,
+            input_finished: false,
+            output_ready: true,
+        };
+        if pu.tick(&pins).input_ready {
+            *pos += 1;
+        }
+    }
+}
+
+/// One engine cycle's worth of PU work for a lane group, as
+/// `lane_preeval` + `eval_unit` run it: `PuExecBatch::retire` over
+/// replicas that each hold a latched token from their own stream (the
+/// instruction sweep on whichever plane the unit admits, then the
+/// guarded-op walk committing straight into each unit), then every
+/// unit's fused `clock_retired` step. `stalled_half` back-pressures
+/// every other lane, which then takes the column-walk fallback and a
+/// `StallOut` `comb`/`clock`. Tokens are re-latched between iterations
+/// outside the timed section.
+fn bench_batch_retire(c: &mut Criterion) {
     for kind in AppKind::all() {
         let app = App::new(kind);
         let spec = app.spec();
         let unit = CompiledUnit::new(&spec);
-        let pus: Vec<PuExec> = (0..MAX_LANES)
+        let streams: Vec<Vec<u64>> = (0..MAX_LANES)
             .map(|l| {
                 let stream = app.gen_stream(l as u64, 256);
-                let tokens = bytes_to_tokens(&stream, spec.input_token_bits).expect("whole tokens");
-                let mut pu = unit.replicate();
-                pu.tick(&PuIn {
-                    input_token: tokens.get(l).copied().unwrap_or(l as u64),
-                    input_valid: true,
-                    ..PuIn::default()
-                });
-                assert!(pu.lane_pending());
-                pu
+                bytes_to_tokens(&stream, spec.input_token_bits).expect("whole tokens")
             })
             .collect();
-        let mut g = c.benchmark_group(format!("batch_sweep/{}", app.name()));
-        for width in [8, MAX_LANES] {
+        let mut g = c.benchmark_group(format!("batch_retire/{}", app.name()));
+        for (id, width, ready) in [
+            ("lanes_x8", 8, u64::MAX),
+            ("lanes_x64", MAX_LANES, u64::MAX),
+            ("stalled_half", MAX_LANES, 0x5555_5555_5555_5555),
+        ] {
             g.throughput(Throughput::Elements(width as u64));
+            let mut pus: Vec<PuExec> = (0..width).map(|_| unit.replicate()).collect();
+            let mut pos = vec![0usize; width];
             let mut batch = PuExecBatch::for_unit(&pus[0], width);
-            let lanes: Vec<&PuExec> = pus[..width].iter().collect();
-            g.bench_function(&format!("lanes_x{width}"), |b| {
-                b.iter(|| batch.sweep(std::hint::black_box(&lanes)))
+            g.bench_function(id, |b| {
+                b.iter_custom(|iters| {
+                    let mut took = Duration::ZERO;
+                    for _ in 0..iters {
+                        for (l, pu) in pus.iter_mut().enumerate() {
+                            relatch(pu, &streams[l], &mut pos[l]);
+                        }
+                        let start = Instant::now();
+                        let mut lanes: [Option<&mut PuExec>; MAX_LANES] = [const { None }; MAX_LANES];
+                        for (slot, pu) in lanes.iter_mut().zip(pus.iter_mut()) {
+                            *slot = Some(pu);
+                        }
+                        batch.retire(&mut lanes[..width], ready);
+                        for (l, pu) in pus.iter_mut().enumerate() {
+                            let pins =
+                                PuIn { output_ready: (ready >> l) & 1 != 0, ..PuIn::default() };
+                            let out = pu.clock_retired(&pins).unwrap_or_else(|| pu.tick(&pins));
+                            std::hint::black_box(out);
+                        }
+                        took += start.elapsed();
+                    }
+                    took
+                })
             });
         }
         g.finish();
@@ -174,6 +217,6 @@ fn bench_batch_sweep(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_lane_eval, bench_lane_eval32, bench_batch_sweep
+    targets = bench_lane_eval, bench_lane_eval32, bench_batch_retire
 }
 criterion_main!(benches);

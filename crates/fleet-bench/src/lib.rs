@@ -6,6 +6,7 @@
 //! formatting.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod workload;
 

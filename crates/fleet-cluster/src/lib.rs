@@ -14,6 +14,7 @@
 //! JSON.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cluster;
 mod report;

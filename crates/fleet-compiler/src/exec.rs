@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use fleet_isim::{PackedProg, PendingWrites, Slot, SsaOp, SsaProg, UnitState};
+use fleet_isim::{PackedProg, PendingWrites, Slot, SsaGuardedOp, SsaOp, SsaProg, UnitState};
 use fleet_lang::{mask, UnitSpec};
 use fleet_trace::{CycleClass, PuCycleCounters};
 
@@ -47,12 +47,14 @@ pub struct PuOut {
     pub output_finished: bool,
 }
 
-/// One virtual cycle's evaluation, cached across stall cycles.
-#[derive(Debug, Clone)]
+/// One virtual cycle's evaluation, cached across stall cycles. The
+/// cycle's state writes are not part of it: they wait in
+/// [`PuExec::scratch`], or are already in the unit's state when a lane
+/// sweep retired the cycle ([`PuExecBatch::retire`]).
+#[derive(Debug, Clone, Copy)]
 struct VcycleEval {
     loop_active: bool,
     emit: Option<u64>,
-    pending: PendingWrites,
 }
 
 /// What a unit is provably waiting on after a clock edge.
@@ -184,14 +186,18 @@ pub struct PuExec {
     /// [`PuExec::set_reference_eval`]).
     reference: bool,
     vals: Vec<u64>,
-    /// Recycled pending-write buffers (avoids a per-virtual-cycle
-    /// allocation on the hot path).
+    /// The cached virtual cycle's uncommitted state writes; empty
+    /// whenever `cached` is `None` or `retired` is set.
     scratch: PendingWrites,
     state: UnitState,
     i: u64,
     v: bool,
     f: bool,
     cached: Option<VcycleEval>,
+    /// A lane sweep already wrote `cached`'s state writes into `state`
+    /// and its output handshake is known to succeed: the unit's next
+    /// step is [`PuExec::clock_retired`], in the same engine cycle.
+    retired: bool,
     cycles: u64,
     vcycles: u64,
     counters: PuCycleCounters,
@@ -228,6 +234,7 @@ impl PuExec {
             v: false,
             f: false,
             cached: None,
+            retired: false,
             cycles: 0,
             vcycles: 0,
             counters: PuCycleCounters::default(),
@@ -283,24 +290,28 @@ impl PuExec {
         self.reference
     }
 
-    fn eval_vcycle(&mut self) -> &VcycleEval {
-        if self.cached.is_none() {
-            // The packed encoding shares `opt`'s slot numbering, so
-            // `opt`'s loop conditions and ops read its buffer directly.
-            let prog = if self.reference { &self.ssa } else { &self.opt };
-            if self.reference {
-                prog.eval(&self.state, self.i, self.f, &mut self.vals);
-            } else {
-                self.packed.eval(&self.state, self.i, self.f, &mut self.vals);
-            }
-            let loop_active = prog.any_loop(&self.vals);
-            let vals = &self.vals;
-            let mut pending = std::mem::take(&mut self.scratch);
-            let emit =
-                walk_ops(prog, &self.state, loop_active, |s| vals[s as usize], &mut pending);
-            self.cached = Some(VcycleEval { loop_active, emit, pending });
+    // Inlined across the crate boundary with `comb`/`clock`: at one
+    // active unit per engine cycle (sessions) the call itself shows.
+    #[inline]
+    fn eval_vcycle(&mut self) -> VcycleEval {
+        if let Some(ev) = self.cached {
+            return ev;
         }
-        self.cached.as_ref().expect("just filled")
+        // The packed encoding shares `opt`'s slot numbering, so
+        // `opt`'s loop conditions and ops read its buffer directly.
+        let prog = if self.reference { &self.ssa } else { &self.opt };
+        if self.reference {
+            prog.eval(&self.state, self.i, self.f, &mut self.vals);
+        } else {
+            self.packed.eval(&self.state, self.i, self.f, &mut self.vals);
+        }
+        let loop_active = prog.any_loop(&self.vals);
+        let vals = &self.vals;
+        let emit =
+            walk_ops(prog, &self.state, loop_active, |s| vals[s as usize], &mut self.scratch);
+        let ev = VcycleEval { loop_active, emit };
+        self.cached = Some(ev);
+        ev
     }
 
     /// Whether this unit is waiting for exactly the work a lane-batched
@@ -308,35 +319,57 @@ impl PuExec {
     /// cached evaluation yet, on the optimized/packed path.
     ///
     /// Such a unit's next [`PuExec::comb`]/[`PuExec::clock`] would run
-    /// the packed instruction sweep; pre-evaluating it through
-    /// [`PuExecBatch`] and [`PuExec::adopt_lane_eval`] installs the
-    /// identical cache, so batching is externally unobservable.
+    /// the packed instruction sweep and, if its handshake succeeds,
+    /// commit the result; [`PuExecBatch::retire`] does both for a whole
+    /// lane group, so batching is externally unobservable.
     #[inline]
     pub fn lane_pending(&self) -> bool {
         self.v && self.cached.is_none() && !self.reference
     }
 
-    /// Installs this unit's virtual-cycle evaluation from lane `lane`
-    /// of a swept [`PuExecBatch`], exactly as [`PuExec::comb`] would
-    /// have computed it. The batch must have been swept with this unit
-    /// enrolled at `lane` in the same engine cycle (no architectural
-    /// state change in between).
-    ///
-    /// The walk already ran inside [`PuExecBatch::sweep`]; this only
-    /// moves the lane's results into the unit's evaluation cache,
-    /// trading the unit's (empty) scratch buffer into the batch so the
-    /// pending-write allocations circulate instead of growing.
+    /// Whether a lane sweep retired this unit's virtual cycle and
+    /// [`PuExec::clock_retired`] has not yet taken it. Never true
+    /// across an engine cycle boundary.
     #[inline]
-    pub fn adopt_lane_eval(&mut self, batch: &mut PuExecBatch, lane: usize) {
-        debug_assert!(self.lane_pending(), "adopting unit is not awaiting evaluation");
-        debug_assert!(batch.matches(self), "batch swept a different program");
-        debug_assert!(lane < batch.width, "lane {lane} out of batch width {}", batch.width);
-        let pending = std::mem::replace(&mut batch.pending[lane], std::mem::take(&mut self.scratch));
-        self.cached = Some(VcycleEval {
-            loop_active: batch.loop_active[lane],
-            emit: batch.emits[lane],
-            pending,
-        });
+    pub fn lane_retired(&self) -> bool {
+        self.retired
+    }
+
+    /// [`PuExec::comb`] and [`PuExec::clock`] fused for a virtual cycle
+    /// that [`PuExecBatch::retire`] already committed: accounts the
+    /// cycle, latches the next token when the cycle consumed its own,
+    /// and returns the cycle's outputs. `None` (and no effect) when the
+    /// unit was not retired this cycle. `pins` must be the cycle's
+    /// pins, with the `output_ready` the sweep was given.
+    #[inline]
+    pub fn clock_retired(&mut self, pins: &PuIn) -> Option<PuOut> {
+        if !self.retired {
+            return None;
+        }
+        self.retired = false;
+        let ev = self.cached.take().expect("retired lanes carry their evaluation");
+        debug_assert!(ev.emit.is_none() || pins.output_ready, "retired a refused handshake");
+        self.cycles += 1;
+        self.counters.add(CycleClass::Busy);
+        self.vcycles += 1;
+        if !ev.loop_active {
+            self.latch(pins);
+        }
+        Some(PuOut {
+            input_ready: !ev.loop_active,
+            output_token: ev.emit.unwrap_or(0),
+            output_valid: ev.emit.is_some(),
+            output_finished: false,
+        })
+    }
+
+    /// `input_ready` was asserted: accept the next token, start the
+    /// cleanup execution, or go idle.
+    #[inline]
+    fn latch(&mut self, pins: &PuIn) {
+        self.v = pins.input_valid || (!self.f && pins.input_finished);
+        self.f = self.f || pins.input_finished;
+        self.i = if pins.input_valid { pins.input_token } else { 0 };
     }
 
     /// Combinational outputs for this cycle (no state change besides the
@@ -368,36 +401,26 @@ impl PuExec {
     /// a new token / the finish flag when `input_ready`.
     #[inline]
     pub fn clock(&mut self, pins: &PuIn) {
+        debug_assert!(!self.retired, "a retired lane steps through clock_retired");
         self.cycles += 1;
         if self.v {
-            let (handshake_ok, while_done) = {
-                let ev = self.eval_vcycle();
-                (ev.emit.is_none() || pins.output_ready, !ev.loop_active)
-            };
-            let v_done = handshake_ok;
+            let ev = self.eval_vcycle();
+            let handshake_ok = ev.emit.is_none() || pins.output_ready;
             self.counters.add(if handshake_ok {
                 CycleClass::Busy
             } else {
                 CycleClass::StallOut
             });
-            if v_done {
-                let ev = self.cached.take().expect("evaluated in this cycle");
-                ev.pending.commit(&mut self.state);
-                // Recycle the pending-write buffers for the next
-                // virtual cycle.
-                self.scratch = ev.pending;
+            if handshake_ok {
+                self.scratch.commit(&mut self.state);
                 self.scratch.clear();
+                self.cached = None;
                 self.vcycles += 1;
-                if while_done {
-                    // input_ready was asserted: accept next token or start
-                    // the cleanup execution.
-                    let new_v = pins.input_valid || (!self.f && pins.input_finished);
-                    self.f = self.f || pins.input_finished;
-                    self.i = if pins.input_valid { pins.input_token } else { 0 };
-                    self.v = new_v;
+                // A continuing loop re-evaluates next cycle from the
+                // state just committed.
+                if !ev.loop_active {
+                    self.latch(pins);
                 }
-                // Loop continuing: state committed, next loop virtual
-                // cycle re-evaluates (cache already cleared by take()).
             }
         } else {
             // Idle: input_ready is high.
@@ -406,11 +429,7 @@ impl PuExec {
             } else {
                 CycleClass::StallIn
             });
-            let new_v = pins.input_valid || (!self.f && pins.input_finished);
-            self.f = self.f || pins.input_finished;
-            self.i = if pins.input_valid { pins.input_token } else { 0 };
-            self.v = new_v;
-            self.cached = None;
+            self.latch(pins);
         }
     }
 
@@ -567,8 +586,9 @@ pub const MAX_LANES: usize = 64;
 /// compiler vectorizes. Wedged/stalled/drained units are masked off by
 /// never enrolling them ([`PuExec::lane_pending`] is the gate);
 /// divergent guards cost nothing because each lane owns a full column
-/// of the plane and the guarded-op walk stays per-lane
-/// ([`PuExec::adopt_lane_eval`]).
+/// of the plane. The sweep *retires* the virtual cycle
+/// ([`PuExecBatch::retire`]): it owns the lanes mutably and writes
+/// their state itself, so a batch carries no per-lane results.
 ///
 /// The plane's constant rows (slots below the program's first written
 /// slot) are seeded once at construction and never rewritten, so a
@@ -583,13 +603,6 @@ pub struct PuExecBatch {
     /// Reusable per-sweep gather buffers.
     inputs: Vec<u64>,
     finished: Vec<bool>,
-    /// Per-lane walk results of the last sweep, consumed by
-    /// [`PuExec::adopt_lane_eval`]. The pending-write buffers circulate
-    /// between the batch and the adopting units' scratch so neither
-    /// side reallocates in steady state.
-    loop_active: Vec<bool>,
-    emits: Vec<Option<u64>>,
-    pending: Vec<PendingWrites>,
     /// Distinct guard slots referenced across `opt.ops`; each sweep
     /// packs every distinct guard row into a lane bitmask exactly once,
     /// however many ops it gates.
@@ -604,6 +617,12 @@ pub struct PuExecBatch {
     /// repeat writers skip already-written lanes without visiting them.
     reg_lanes: Vec<u64>,
     bram_lanes: Vec<u64>,
+    /// Vector registers more than one op writes: only their writes are
+    /// logged in `vec_written` (`(lane, register, element)`, per sweep)
+    /// for the per-element first-write-wins check; a register with one
+    /// writer cannot collide.
+    vec_multi: Vec<bool>,
+    vec_written: Vec<(usize, usize, usize)>,
 }
 
 /// Backing storage for a batch's lane-major value plane.
@@ -666,8 +685,14 @@ fn nonzero_mask<T: LaneVal>(row: &[T]) -> u64 {
     m
 }
 
+/// The architectural state of the unit in lane `l`.
+#[inline]
+fn lane_state<'a>(lanes: &'a mut [Option<&mut PuExec>], l: usize) -> &'a mut UnitState {
+    &mut lanes[l].as_deref_mut().expect("every swept lane is enrolled").state
+}
+
 /// Caller-owned scratch and precomputed tables for
-/// [`walk_lane_rows`], all recycled across sweeps (see the matching
+/// [`retire_lane_rows`], all recycled across sweeps (see the matching
 /// [`PuExecBatch`] fields for the invariants).
 struct WalkTables<'a> {
     guard_slots: &'a [Slot],
@@ -675,53 +700,88 @@ struct WalkTables<'a> {
     guard_masks: &'a mut [u64],
     reg_lanes: &'a mut [u64],
     bram_lanes: &'a mut [u64],
+    vec_multi: &'a [bool],
+    vec_written: &'a mut Vec<(usize, usize, usize)>,
 }
 
-/// The guarded-op walk of [`PuExecBatch::sweep`], op-major over the
-/// swept plane's rows: for each lane the produced results are
-/// identical to running [`walk_ops`] on that lane's column (same op
-/// order, same first-write-wins merges, same out-of-range vector-write
-/// skip), restructured around lane bitmasks. Each distinct guard row
-/// is packed into a 64-bit lane mask once per sweep; an op's firing
-/// set is then the AND of its guard masks with the loop-phase mask,
-/// and first-write-wins dedup is a transposed per-target
+/// The guarded-op walk of [`PuExecBatch::retire`], op-major over the
+/// swept plane's rows: for each lane the outcome is identical to
+/// running [`walk_ops`] on that lane's column and committing it (same
+/// op order, same first-write-wins merges, same out-of-range
+/// vector-write skip), restructured around lane bitmasks. Each distinct
+/// guard row is packed into a 64-bit lane mask once per sweep; an op's
+/// firing set is then the AND of its guard masks with the loop-phase
+/// mask, and first-write-wins dedup is a transposed per-target
 /// "already-written lanes" mask — so ops that fire nowhere, lanes an
 /// op skips, and writes that lost the first-write race all cost no
 /// per-lane work at all.
-#[allow(clippy::too_many_arguments)]
-fn walk_lane_rows<T: LaneVal>(
+///
+/// The emits are resolved first, because they decide who retires: a
+/// lane whose handshake [`PuExec::clock`] would accept this cycle
+/// (`!emitted | output_ready`) has its writes stored straight into its
+/// state — every value in the plane was computed from pre-cycle state,
+/// so storing them one by one is the simultaneous commit — and is left
+/// for [`PuExec::clock_retired`]. A back-pressured lane instead gets
+/// its column walked into its own scratch, the evaluation
+/// [`PuExec::comb`] would have cached, and stalls on it as usual.
+fn retire_lane_rows<T: LaneVal>(
     opt: &SsaProg,
     plane: &[T],
     width: usize,
-    n: usize,
-    states: &[&UnitState],
-    loop_active: &mut [bool],
-    emits: &mut [Option<u64>],
-    pending: &mut [PendingWrites],
+    lanes: &mut [Option<&mut PuExec>],
+    output_ready: u64,
     tables: WalkTables<'_>,
 ) {
+    let n = lanes.len();
     assert!(n <= MAX_LANES, "lane group exceeds the walk's lane bitmask");
-    let WalkTables { guard_slots, op_guards, guard_masks, reg_lanes, bram_lanes } = tables;
     let row = |s: Slot| &plane[s as usize * width..s as usize * width + n];
     let full: u64 = if n >= MAX_LANES { u64::MAX } else { (1u64 << n) - 1 };
 
     let loop_mask = opt.loop_conds.iter().fold(0u64, |m, &s| m | nonzero_mask(row(s)));
-    for l in 0..n {
-        loop_active[l] = (loop_mask >> l) & 1 != 0;
-        pending[l].clear();
-        emits[l] = None;
-    }
-    for (gm, &g) in guard_masks.iter_mut().zip(guard_slots) {
+    for (gm, &g) in tables.guard_masks.iter_mut().zip(tables.guard_slots) {
         *gm = nonzero_mask(row(g));
     }
-    reg_lanes.fill(0);
-    bram_lanes.fill(0);
+    let guard_masks = &*tables.guard_masks;
+    let firing = |op: &SsaGuardedOp, gidx: &[u32]| {
+        let phase = if op.in_loop { loop_mask } else { !loop_mask & full };
+        gidx.iter().fold(phase, |fm, &gi| fm & guard_masks[gi as usize])
+    };
+
     let mut emitted = 0u64;
-    for (op, gidx) in opt.ops.iter().zip(op_guards) {
-        let mut fm = if op.in_loop { loop_mask } else { !loop_mask & full };
-        for &gi in gidx {
-            fm &= guard_masks[gi as usize];
+    let mut tokens = [0u64; MAX_LANES];
+    for (op, gidx) in opt.ops.iter().zip(tables.op_guards) {
+        let SsaOp::Emit { val, width: w } = &op.op else { continue };
+        let wm = mask(u64::MAX, *w);
+        let vrow = row(*val);
+        let mut it = firing(op, gidx) & !emitted;
+        emitted |= it;
+        while it != 0 {
+            let l = it.trailing_zeros() as usize;
+            it &= it - 1;
+            tokens[l] = vrow[l].widen() & wm;
         }
+    }
+    let retire = (!emitted | output_ready) & full;
+    for (l, lane) in lanes.iter_mut().enumerate() {
+        let pu = lane.as_deref_mut().expect("every swept lane is enrolled");
+        let ev = VcycleEval {
+            loop_active: (loop_mask >> l) & 1 != 0,
+            emit: ((emitted >> l) & 1 != 0).then_some(tokens[l]),
+        };
+        pu.cached = Some(ev);
+        pu.retired = (retire >> l) & 1 != 0;
+        if !pu.retired {
+            let get = |s: Slot| plane[s as usize * width + l].widen();
+            let emit = walk_ops(opt, &pu.state, ev.loop_active, get, &mut pu.scratch);
+            debug_assert_eq!(emit, ev.emit, "lane {l}: row walk and column walk disagree");
+        }
+    }
+
+    tables.reg_lanes.fill(0);
+    tables.bram_lanes.fill(0);
+    tables.vec_written.clear();
+    for (op, gidx) in opt.ops.iter().zip(tables.op_guards) {
+        let fm = firing(op, gidx) & retire;
         if fm == 0 {
             continue;
         }
@@ -730,12 +790,12 @@ fn walk_lane_rows<T: LaneVal>(
                 let r = *reg as usize;
                 let wm = mask(u64::MAX, *w);
                 let vrow = row(*val);
-                let mut it = fm & !reg_lanes[r];
-                reg_lanes[r] |= it;
+                let mut it = fm & !tables.reg_lanes[r];
+                tables.reg_lanes[r] |= it;
                 while it != 0 {
                     let l = it.trailing_zeros() as usize;
                     it &= it - 1;
-                    pending[l].regs.push((r, vrow[l].widen() & wm));
+                    lane_state(lanes, l).regs[r] = vrow[l].widen() & wm;
                 }
             }
             SsaOp::SetVecReg { vr, width: w, idx, val } => {
@@ -747,17 +807,17 @@ fn walk_lane_rows<T: LaneVal>(
                 while it != 0 {
                     let l = it.trailing_zeros() as usize;
                     it &= it - 1;
-                    let elements = states[l].vec_regs[v].len();
                     let i = irow[l].widen() as usize;
-                    if i >= elements {
-                        // Out-of-range index selects no element,
-                        // like the compiled write decoders.
-                        continue;
+                    // Out-of-range index selects no element, like the
+                    // compiled write decoders.
+                    let Some(elem) = lane_state(lanes, l).vec_regs[v].get_mut(i) else { continue };
+                    if tables.vec_multi[v] {
+                        if tables.vec_written.contains(&(l, v, i)) {
+                            continue;
+                        }
+                        tables.vec_written.push((l, v, i));
                     }
-                    let p = &mut pending[l];
-                    if !p.vec_regs.iter().any(|(w2, e, _)| *w2 == v && *e == i) {
-                        p.vec_regs.push((v, i, vrow[l].widen() & wm));
-                    }
+                    *elem = vrow[l].widen() & wm;
                 }
             }
             SsaOp::BramWrite { bram, aw, dw, addr, val } => {
@@ -766,25 +826,15 @@ fn walk_lane_rows<T: LaneVal>(
                 let wm = mask(u64::MAX, *dw);
                 let arow = row(*addr);
                 let vrow = row(*val);
-                let mut it = fm & !bram_lanes[b];
-                bram_lanes[b] |= it;
+                let mut it = fm & !tables.bram_lanes[b];
+                tables.bram_lanes[b] |= it;
                 while it != 0 {
                     let l = it.trailing_zeros() as usize;
                     it &= it - 1;
-                    pending[l].brams.push((b, arow[l].widen() & am, vrow[l].widen() & wm));
+                    lane_state(lanes, l).brams[b][(arow[l].widen() & am) as usize] = vrow[l].widen() & wm;
                 }
             }
-            SsaOp::Emit { val, width: w } => {
-                let wm = mask(u64::MAX, *w);
-                let vrow = row(*val);
-                let mut it = fm & !emitted;
-                emitted |= it;
-                while it != 0 {
-                    let l = it.trailing_zeros() as usize;
-                    it &= it - 1;
-                    emits[l] = Some(vrow[l].widen() & wm);
-                }
-            }
+            SsaOp::Emit { .. } => {}
         }
     }
 }
@@ -830,26 +880,21 @@ impl PuExecBatch {
                     .collect()
             })
             .collect();
-        let n_regs = pu
-            .opt
-            .ops
-            .iter()
-            .filter_map(|op| match &op.op {
-                SsaOp::SetReg { reg, .. } => Some(*reg as usize + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let n_brams = pu
-            .opt
-            .ops
-            .iter()
-            .filter_map(|op| match &op.op {
-                SsaOp::BramWrite { bram, .. } => Some(*bram as usize + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
+        // Writers per register / BRAM / vector register, indexed by
+        // target id.
+        let (mut regs, mut brams, mut vecs) = (Vec::new(), Vec::new(), Vec::new());
+        for op in &pu.opt.ops {
+            let (table, id): (&mut Vec<u32>, usize) = match &op.op {
+                SsaOp::SetReg { reg, .. } => (&mut regs, *reg as usize),
+                SsaOp::BramWrite { bram, .. } => (&mut brams, *bram as usize),
+                SsaOp::SetVecReg { vr, .. } => (&mut vecs, *vr as usize),
+                SsaOp::Emit { .. } => continue,
+            };
+            if table.len() <= id {
+                table.resize(id + 1, 0);
+            }
+            table[id] += 1;
+        }
         let guard_masks = vec![0u64; guard_slots.len()];
         PuExecBatch {
             opt: Arc::clone(&pu.opt),
@@ -858,14 +903,13 @@ impl PuExecBatch {
             plane,
             inputs: Vec::with_capacity(width),
             finished: Vec::with_capacity(width),
-            loop_active: vec![false; width],
-            emits: vec![None; width],
-            pending: (0..width).map(|_| PendingWrites::default()).collect(),
             guard_slots,
             op_guards,
             guard_masks,
-            reg_lanes: vec![0; n_regs],
-            bram_lanes: vec![0; n_brams],
+            reg_lanes: vec![0; regs.len()],
+            bram_lanes: vec![0; brams.len()],
+            vec_multi: vecs.iter().map(|&writers| writers > 1).collect(),
+            vec_written: Vec::new(),
         }
     }
 
@@ -880,81 +924,61 @@ impl PuExecBatch {
         Arc::ptr_eq(&self.packed, &pu.packed) && !pu.reference
     }
 
-    /// Sweeps one virtual-cycle evaluation for every unit in `lanes`
-    /// (unit `l` occupies lane `l`; at most [`PuExecBatch::width`]
-    /// units). Each unit must satisfy [`PuExec::lane_pending`] and
-    /// [`PuExecBatch::matches`]. Follow with
-    /// [`PuExec::adopt_lane_eval`] per unit to install the results.
+    /// Evaluates one virtual cycle for every unit in `lanes` (unit `l`
+    /// occupies lane `l`, every entry `Some`; at most
+    /// [`PuExecBatch::width`] units) and retires it wherever the
+    /// output handshake allows. Each unit must satisfy
+    /// [`PuExec::lane_pending`] and [`PuExecBatch::matches`]; bit `l`
+    /// of `output_ready` is the `output_ready` pin lane `l` sees this
+    /// cycle.
     ///
     /// The sweep covers the whole virtual cycle: the SIMD instruction
     /// sweep ([`PackedProg::eval_lanes`]) *and* the guarded-op walk,
     /// run op-major so every plane access is a contiguous row instead
-    /// of the per-lane column walk's strided reads — the results are
-    /// identical to running [`walk_ops`] per lane by construction
-    /// (same op order, same first-write-wins merges, per lane).
-    pub fn sweep(&mut self, lanes: &[&PuExec]) {
+    /// of the per-lane column walk's strided reads. A lane that emits
+    /// nothing, or whose emission is accepted, leaves with its state
+    /// writes committed and [`PuExec::lane_retired`] set — the caller
+    /// must step it with [`PuExec::clock_retired`] in the same cycle. A
+    /// lane whose emission is back-pressured leaves exactly as
+    /// [`PuExec::comb`] would have left it: evaluation cached, writes
+    /// pending, nothing committed.
+    pub fn retire(&mut self, lanes: &mut [Option<&mut PuExec>], output_ready: u64) {
         let n = lanes.len();
         assert!(n <= self.width, "lane group exceeds batch width");
-        assert!(!lanes.is_empty(), "empty lane group");
+        let enrolled = |pu: &PuExec| pu.lane_pending() && self.matches(pu);
+        debug_assert!(lanes.iter().all(|l| l.as_deref().is_some_and(enrolled)));
         self.inputs.clear();
         self.finished.clear();
+        let Self { opt, packed, width, plane, inputs, finished, .. } = self;
+        let first = lanes.first().and_then(|l| l.as_deref()).expect("empty lane group");
         // Stack-resident gather: a group never exceeds `MAX_LANES`, so
         // a fixed array avoids a heap allocation on every sweep of the
         // hot loop.
-        let mut states: [&UnitState; MAX_LANES] = [&lanes[0].state; MAX_LANES];
-        for (slot, pu) in states.iter_mut().zip(lanes) {
-            debug_assert!(pu.lane_pending(), "swept unit is not awaiting evaluation");
-            debug_assert!(self.matches(pu), "swept unit runs a different program");
+        let mut states: [&UnitState; MAX_LANES] = [&first.state; MAX_LANES];
+        for (slot, lane) in states.iter_mut().zip(lanes.iter()) {
+            let pu = lane.as_deref().expect("every swept lane is enrolled");
             *slot = &pu.state;
-            self.inputs.push(pu.i);
-            self.finished.push(pu.f);
+            inputs.push(pu.i);
+            finished.push(pu.f);
         }
-        let states = &states[..n];
-        let Self {
-            opt,
-            packed,
-            width,
-            plane,
-            inputs,
-            finished,
-            loop_active,
-            emits,
-            pending,
-            guard_slots,
-            op_guards,
-            guard_masks,
-            reg_lanes,
-            bram_lanes,
-        } = self;
         let width = *width;
+        let tables = WalkTables {
+            guard_slots: &self.guard_slots,
+            op_guards: &self.op_guards,
+            guard_masks: &mut self.guard_masks,
+            reg_lanes: &mut self.reg_lanes,
+            bram_lanes: &mut self.bram_lanes,
+            vec_multi: &self.vec_multi,
+            vec_written: &mut self.vec_written,
+        };
         match plane {
             LanePlane::Wide(p) => {
-                packed.eval_lanes(states, inputs, finished, width, p);
-                walk_lane_rows(
-                    opt,
-                    p,
-                    width,
-                    n,
-                    states,
-                    loop_active,
-                    emits,
-                    pending,
-                    WalkTables { guard_slots, op_guards, guard_masks, reg_lanes, bram_lanes },
-                );
+                packed.eval_lanes(&states[..n], inputs, finished, width, p);
+                retire_lane_rows(opt, p, width, lanes, output_ready, tables);
             }
             LanePlane::Narrow(p) => {
-                packed.eval_lanes32(states, inputs, finished, width, p);
-                walk_lane_rows(
-                    opt,
-                    p,
-                    width,
-                    n,
-                    states,
-                    loop_active,
-                    emits,
-                    pending,
-                    WalkTables { guard_slots, op_guards, guard_masks, reg_lanes, bram_lanes },
-                );
+                packed.eval_lanes32(&states[..n], inputs, finished, width, p);
+                retire_lane_rows(opt, p, width, lanes, output_ready, tables);
             }
         }
     }
@@ -965,6 +989,7 @@ mod tests {
     use super::*;
     use fleet_isim::Interpreter;
     use fleet_lang::{lit, UnitBuilder};
+    use proptest::prelude::*;
 
     fn identity_spec() -> UnitSpec {
         let mut u = UnitBuilder::new("Identity", 8, 8);
@@ -1175,154 +1200,199 @@ mod tests {
         assert_eq!(out, isim.tokens);
     }
 
-    /// Driving replicas through `PuExecBatch::sweep` +
-    /// `adopt_lane_eval` must be pin-for-pin identical to letting each
-    /// unit evaluate itself — with divergent streams, stall patterns,
-    /// and loop phases across the lanes, and some units masked off
-    /// (not lane-pending) on any given cycle.
-    #[test]
-    fn batched_lanes_match_individual_evaluation() {
-        let mut u = UnitBuilder::new("BlockFrequencies", 8, 8);
-        let item_counter = u.reg("itemCounter", 7, 0);
-        let frequencies = u.bram("frequencies", 256, 8);
-        let idx = u.reg("frequenciesIdx", 9, 0);
-        let input = u.input();
-        u.if_(item_counter.eq_e(20u64), |u| {
-            u.while_(idx.lt_e(256u64), |u| {
-                u.emit(frequencies.read(idx));
-                u.write(frequencies, idx, lit(0, 8));
-                u.set(idx, idx + 1u64);
-            });
-            u.set(idx, lit(0, 9));
+    /// A unit whose guarded ops collide in every way the lane walk
+    /// arbitrates: two `SetReg`s to one register, a register swap (each
+    /// side must read the other's *pre-cycle* value), two `SetVecReg`s
+    /// to the same or different elements, an out-of-range vector index,
+    /// two `BramWrite`s to one BRAM at different addresses, two `Emit`s,
+    /// and a `while` loop. The interpreter rejects such collisions; the
+    /// compiled hardware resolves them first-write-wins.
+    fn collision_spec() -> UnitSpec {
+        let mut u = UnitBuilder::new("Collide", 8, 8);
+        let r = u.reg("r", 8, 0);
+        let (a, b) = (u.reg("a", 8, 1), u.reg("b", 8, 2));
+        let cnt = u.reg("cnt", 2, 0);
+        let vv = u.vec_reg("vv", 4, 8, 0);
+        let ww = u.vec_reg("ww", 3, 8, 5);
+        let bb = u.bram("bb", 16, 8);
+        let inp = u.input();
+        u.while_(cnt.lt_e(inp.slice(7, 6)), |u| {
+            u.set(cnt, cnt + 1u64);
+            u.emit(cnt.e() + r.e());
         });
-        u.write(frequencies, input.clone(), frequencies.read(input) + 1u64);
-        u.set(
-            item_counter,
-            item_counter.eq_e(20u64).mux(lit(1, 7), item_counter + 1u64),
-        );
-        let spec = u.build().unwrap();
-        let unit = CompiledUnit::new(&spec);
+        u.set(cnt, lit(0, 2));
+        u.if_(inp.slice(0, 0), |u| u.set(r, inp.clone()));
+        u.if_(inp.slice(1, 1), |u| u.set(r, inp.clone() + 1u64));
+        u.set(a, b + inp.clone());
+        u.set(b, a.e());
+        u.if_(inp.slice(2, 2), |u| u.set_vec(vv, inp.slice(5, 4), inp.clone()));
+        u.if_(inp.slice(3, 3), |u| u.set_vec(vv, inp.slice(7, 6), inp.clone() + 3u64));
+        u.set_vec(ww, inp.slice(1, 0), a + b);
+        u.if_(inp.slice(4, 4), |u| u.write(bb, inp.slice(3, 0), inp.clone()));
+        u.if_(inp.slice(5, 5), |u| u.write(bb, inp.slice(7, 4), inp.clone() + 7u64));
+        u.if_(inp.slice(6, 6), |u| u.emit(inp.clone() ^ vv.read(inp.slice(1, 0))));
+        u.if_(inp.slice(7, 7), |u| u.emit(bb.read(inp.slice(3, 0))));
+        u.build().unwrap()
+    }
 
-        const LANES: usize = 4;
-        let streams: Vec<Vec<u64>> = (0..LANES as u64)
-            .map(|l| (0..60 + 10 * l).map(|x| (x * 13 + 7 * l) % 256).collect())
-            .collect();
-        let mut batched: Vec<PuExec> = (0..LANES).map(|_| unit.replicate()).collect();
-        let mut control: Vec<PuExec> = (0..LANES).map(|_| unit.replicate()).collect();
-        let mut batch = PuExecBatch::for_unit(&batched[0], LANES);
-        let mut pos = [0usize; LANES];
+    /// Drives `n` replicas through [`PuExecBatch::retire`] +
+    /// [`PuExec::clock_retired`] under random starvation and random
+    /// `output_ready` masks, against a scalar `comb`/`clock` twin per
+    /// lane (state-for-state and pin-for-pin, every cycle) and, with
+    /// `oracle`, the reference [`Interpreter`] at every token boundary.
+    ///
+    /// Returns how many lane-cycles the sweep retired and how many sat
+    /// back-pressured.
+    fn check_retire(spec: &UnitSpec, streams: &[Vec<u64>], oracle: bool, seed: u64) -> (u64, u64) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = streams.len();
+        // The tree-walking interpreter is two orders slower than the
+        // executors: wide groups check a sample of their lanes.
+        let oracle = |l: usize| oracle && (n < 10 || l % 16 == 1);
+        let at = |cyc: u64, l: usize| format!("{}: lane {l} of {n}, cycle {cyc}", spec.name);
+        let unit = CompiledUnit::new(spec);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lanes: Vec<PuExec> = (0..n).map(|_| unit.replicate()).collect();
+        let mut twins: Vec<PuExec> = (0..n).map(|_| unit.replicate()).collect();
+        let mut interps: Vec<Interpreter> = (0..n).map(|_| Interpreter::new(spec)).collect();
+        let mut outs: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut pos = vec![0usize; n];
+        // A back-pressured lane's token: it must be held until accepted.
+        let mut held: Vec<Option<u64>> = vec![None; n];
+        // What each lane is executing: a token, or (`Some(None)`) the
+        // cleanup run.
+        let mut running: Vec<Option<Option<u64>>> = vec![None; n];
+        let mut batch = PuExecBatch::for_unit(&lanes[0], MAX_LANES);
+        let (mut retired_cycles, mut stalled_cycles) = (0u64, 0u64);
         let mut cyc = 0u64;
-        while !(0..LANES).all(|l| batched[l].finished()) {
-            // Pre-evaluate every lane-pending unit through the batch;
-            // the rest (idle, back-pressured, drained) are masked off
-            // exactly as the engine masks them.
-            let group: Vec<usize> = (0..LANES).filter(|&l| batched[l].lane_pending()).collect();
-            if !group.is_empty() {
-                let lanes: Vec<&PuExec> = group.iter().map(|&l| &batched[l]).collect();
-                batch.sweep(&lanes);
-                for (lane, &l) in group.iter().enumerate() {
-                    batched[l].adopt_lane_eval(&mut batch, lane);
-                }
+        while !lanes.iter().all(PuExec::finished) {
+            let ready: u64 = rng.gen::<u64>() | rng.gen::<u64>();
+            // Sweep every lane-pending unit as one group, its ready
+            // bits compacted to the group's lane numbering.
+            let mut group_ready = 0u64;
+            let mut group: Vec<Option<&mut PuExec>> = Vec::new();
+            for (l, pu) in lanes.iter_mut().enumerate().filter(|(_, pu)| pu.lane_pending()) {
+                group_ready |= ((ready >> l) & 1) << group.len();
+                group.push(Some(pu));
             }
-            for l in 0..LANES {
+            if !group.is_empty() {
+                batch.retire(&mut group, group_ready);
+            }
+            for l in 0..n {
                 let toks = &streams[l];
-                let starved = (cyc * 7 + l as u64 * 13) % 5 < 2;
-                let ready = (cyc + l as u64) % 4 != 3;
-                let have = pos[l] < toks.len() && !starved;
+                let have = pos[l] < toks.len() && rng.gen_bool(0.8);
                 let pins = PuIn {
                     input_token: if have { toks[pos[l]] } else { 0 },
                     input_valid: have,
                     input_finished: pos[l] >= toks.len(),
-                    output_ready: ready,
+                    output_ready: (ready >> l) & 1 != 0,
                 };
-                let ob = batched[l].comb(&pins);
-                let oc = control[l].comb(&pins);
-                assert_eq!(ob, oc, "lane {l} diverged at cycle {cyc}");
-                batched[l].clock(&pins);
-                control[l].clock(&pins);
-                if ob.input_ready && pins.input_valid {
-                    pos[l] += 1;
+                let saw_finish = lanes[l].f;
+                let want = twins[l].comb(&pins);
+                if !lanes[l].lane_retired() {
+                    // Not retired: nothing may have been committed yet
+                    // (the twin still holds the pre-cycle state).
+                    assert_eq!(lanes[l].state, twins[l].state, "{}", at(cyc, l));
+                }
+                let got = match lanes[l].clock_retired(&pins) {
+                    Some(out) => {
+                        retired_cycles += 1;
+                        out
+                    }
+                    None => lanes[l].tick(&pins),
+                };
+                twins[l].clock(&pins);
+                assert_eq!(got, want, "{}", at(cyc, l));
+                assert!(!lanes[l].lane_retired(), "{}", at(cyc, l));
+                // (BRAM contents are compared at token boundaries.)
+                assert_eq!(lanes[l].state.regs, twins[l].state.regs, "{}", at(cyc, l));
+                assert_eq!(lanes[l].state.vec_regs, twins[l].state.vec_regs, "{}", at(cyc, l));
+                assert_eq!(lanes[l].quiescence(), twins[l].quiescence(), "{}", at(cyc, l));
+                if let Some(tok) = held[l] {
+                    assert!(got.output_valid && got.output_token == tok, "{}", at(cyc, l));
+                }
+                held[l] = (got.output_valid && !pins.output_ready).then_some(got.output_token);
+                stalled_cycles += u64::from(held[l].is_some());
+                if got.output_valid && pins.output_ready {
+                    outs[l].push(got.output_token);
+                }
+                if got.input_ready {
+                    assert_eq!(lanes[l].state, twins[l].state, "{}", at(cyc, l));
+                    // The running token's last virtual cycle just
+                    // committed: the interpreter catches up.
+                    if let (true, Some(run)) = (oracle(l), running[l]) {
+                        match run {
+                            Some(t) => interps[l].step_token(t).unwrap(),
+                            None => interps[l].finish().unwrap(),
+                        }
+                        assert_eq!(&lanes[l].state, interps[l].state(), "{}", at(cyc, l));
+                        assert_eq!(outs[l], interps[l].outputs(), "{}", at(cyc, l));
+                    }
+                    running[l] = if pins.input_valid {
+                        pos[l] += 1;
+                        Some(Some(pins.input_token))
+                    } else {
+                        (pins.input_finished && !saw_finish).then_some(None)
+                    };
                 }
             }
             cyc += 1;
-            assert!(cyc < 100_000, "batched drive did not terminate");
+            assert!(cyc < 200_000, "{}: retire drive did not terminate", spec.name);
         }
-        for l in 0..LANES {
-            assert_eq!(batched[l].cycles(), control[l].cycles());
-            assert_eq!(batched[l].vcycles(), control[l].vcycles());
-            assert_eq!(batched[l].counters(), control[l].counters());
-            assert_eq!(batched[l].state().regs, control[l].state().regs);
+        for l in 0..n {
+            assert_eq!(lanes[l].cycles(), twins[l].cycles(), "{}", at(cyc, l));
+            assert_eq!(lanes[l].vcycles(), twins[l].vcycles(), "{}", at(cyc, l));
+            assert_eq!(lanes[l].counters(), twins[l].counters(), "{}", at(cyc, l));
+            if oracle(l) {
+                assert_eq!(running[l], None, "{}", at(cyc, l));
+                assert_eq!(lanes[l].vcycles(), interps[l].vcycles(), "{}", at(cyc, l));
+            }
         }
+        (retired_cycles, stalled_cycles)
     }
 
-    /// [`walk_lane_rows`] must leave every swept lane exactly what
-    /// [`walk_ops`] computes from that lane's own scalar evaluation —
-    /// on the six paper apps, with divergent lanes, at lane counts on
-    /// both sides of the eight-lane groups the guard masks are packed
-    /// in.
-    #[test]
-    fn lane_walk_matches_per_lane_walk_on_all_apps() {
-        use fleet_apps::{App, AppKind};
-        use fleet_isim::bytes_to_tokens;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2))]
 
-        /// One unstalled engine cycle on the unit's own evaluation path.
-        fn tick(pu: &mut PuExec, tokens: &[u64], pos: &mut usize) {
-            let have = *pos < tokens.len();
-            let pins = PuIn {
-                input_token: if have { tokens[*pos] } else { 0 },
-                input_valid: have,
-                input_finished: !have,
-                output_ready: true,
-            };
-            if pu.tick(&pins).input_ready && have {
-                *pos += 1;
-            }
-        }
+        /// The lane sweep's retire path on the six paper apps and the
+        /// collision unit, at lane counts on both sides of the
+        /// eight-lane groups the guard masks are packed in and of a
+        /// full 64-lane plane.
+        #[test]
+        fn retired_lanes_match_scalar_and_interpreter(seed in any::<u64>()) {
+            use fleet_apps::{App, AppKind};
+            use fleet_isim::bytes_to_tokens;
+            use rand::{rngs::StdRng, Rng, SeedableRng};
 
-        for kind in AppKind::all() {
-            let app = App::new(kind);
-            let spec = app.spec();
-            let unit = CompiledUnit::new(&spec);
-            let streams: Vec<Vec<u64>> = (0..MAX_LANES as u64)
-                .map(|l| {
-                    bytes_to_tokens(&app.gen_stream(l + 1, 2048), spec.input_token_bits)
-                        .expect("whole tokens")
+            /// Lane number → that lane's input tokens.
+            type Gen = Box<dyn Fn(u64) -> Vec<u64>>;
+            let mut cases: Vec<(UnitSpec, Gen, bool)> = AppKind::all()
+                .into_iter()
+                .map(|kind| {
+                    let app = App::new(kind);
+                    let spec = app.spec();
+                    let bits = spec.input_token_bits;
+                    let gen = move |l: u64| {
+                        bytes_to_tokens(&app.gen_stream(seed ^ l, 192), bits).expect("whole tokens")
+                    };
+                    (spec, Box::new(gen) as Gen, true)
                 })
                 .collect();
-            let mut pus: Vec<PuExec> = (0..MAX_LANES).map(|_| unit.replicate()).collect();
-            let mut pos = vec![0usize; MAX_LANES];
-            // Stagger the replicas so registers, BRAMs and loop phases
-            // differ from lane to lane.
-            for l in 0..MAX_LANES {
-                for _ in 0..3 * l + 5 {
-                    tick(&mut pus[l], &streams[l], &mut pos[l]);
+            let collide = move |l: u64| {
+                let mut rng = StdRng::seed_from_u64(seed ^ l);
+                (0..96).map(|_| u64::from(rng.gen::<u8>())).collect()
+            };
+            cases.push((collision_spec(), Box::new(collide), false));
+            for (spec, gen, oracle) in &cases {
+                let (mut retired, mut stalled) = (0, 0);
+                for n in [2usize, 7, 8, 9, 33, 63, 64] {
+                    let streams: Vec<Vec<u64>> = (0..n as u64).map(gen).collect();
+                    let (r, s) = check_retire(spec, &streams, *oracle, seed ^ n as u64);
+                    retired += r;
+                    stalled += s;
                 }
-            }
-            let mut batch = PuExecBatch::for_unit(&pus[0], MAX_LANES);
-            let mut vals = unit.opt.seed_vals();
-            for n in [1, 2, 7, 8, 9, 31, 33, 47, 63, 64] {
-                for round in 0..4 {
-                    let lanes: Vec<&PuExec> = pus[..n].iter().collect();
-                    let pending = lanes.iter().all(|pu| pu.lane_pending());
-                    assert!(pending, "{}: a stream ran dry", app.name());
-                    batch.sweep(&lanes);
-                    for (l, pu) in lanes.iter().enumerate() {
-                        unit.packed.eval(&pu.state, pu.i, pu.f, &mut vals);
-                        let loop_active = unit.opt.any_loop(&vals);
-                        let mut want = PendingWrites::default();
-                        let emit =
-                            walk_ops(&unit.opt, &pu.state, loop_active, |s| vals[s as usize], &mut want);
-                        let at = format!("{}: lane {l} of {n}, round {round}", app.name());
-                        assert_eq!(batch.loop_active[l], loop_active, "{at}");
-                        assert_eq!(batch.emits[l], emit, "{at}");
-                        assert_eq!(batch.pending[l].regs, want.regs, "{at}");
-                        assert_eq!(batch.pending[l].vec_regs, want.vec_regs, "{at}");
-                        assert_eq!(batch.pending[l].brams, want.brams, "{at}");
-                    }
-                    for l in 0..MAX_LANES {
-                        tick(&mut pus[l], &streams[l], &mut pos[l]);
-                    }
-                }
+                prop_assert!(retired > 0, "{}: the sweep never retired a lane", spec.name);
+                prop_assert!(stalled > 0, "{}: no emission was ever back-pressured", spec.name);
             }
         }
     }

@@ -19,6 +19,7 @@
 //! and integer-only (no float nondeterminism across platforms).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Domain-separation salts: one per fault site kind, so a DRAM stall
 /// decision at index `i` never correlates with an ECC decision at the

@@ -31,6 +31,7 @@
 //! [`arrival`] module).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod arrival;
 pub mod job;

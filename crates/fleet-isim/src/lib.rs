@@ -36,6 +36,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The only `unsafe` is the call into each AVX2-compiled sweep twin,
+// behind a runtime feature probe (`ssa.rs`).
+#![deny(unsafe_code)]
 
 pub mod error;
 pub mod eval;

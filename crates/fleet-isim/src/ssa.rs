@@ -1319,7 +1319,7 @@ impl PackedProg {
     /// Panics if the input slices disagree on lane count, more than
     /// `width` lanes are given, or `vals` is shorter than
     /// `slots * width` for the source program's slot count.
-    #[allow(clippy::unnecessary_cast, trivial_numeric_casts)]
+    #[allow(unsafe_code, clippy::unnecessary_cast, trivial_numeric_casts)]
     pub fn eval_lanes(
         &self,
         states: &[&UnitState],
@@ -1350,7 +1350,7 @@ impl PackedProg {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::unnecessary_cast, trivial_numeric_casts)]
-    unsafe fn eval_lanes_avx2(
+    fn eval_lanes_avx2(
         &self,
         states: &[&UnitState],
         inputs: &[u64],
@@ -1376,6 +1376,7 @@ impl PackedProg {
     /// # Panics
     ///
     /// Same contract as [`PackedProg::eval_lanes`].
+    #[allow(unsafe_code)]
     pub fn eval_lanes32(
         &self,
         states: &[&UnitState],
@@ -1399,7 +1400,7 @@ impl PackedProg {
     /// [`PackedProg::eval_lanes`]'s AVX2 clone for the rationale.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn eval_lanes32_avx2(
+    fn eval_lanes32_avx2(
         &self,
         states: &[&UnitState],
         inputs: &[u64],

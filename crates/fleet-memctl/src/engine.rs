@@ -325,6 +325,15 @@ fn first_set_circular(start: usize, word: impl Fn(usize) -> u64, nw: usize) -> O
     None
 }
 
+/// The unit's `output_ready` pin: room for one more token in its output
+/// buffer — never, once the unit has wedged. [`pins_of`] and the lane
+/// sweep's retire mask ([`lane_preeval`]) both read it here, so a sweep
+/// retires exactly the handshakes the pins would accept.
+#[inline]
+pub(crate) fn output_ready_of(st: &PuState, params: &EvalParams) -> bool {
+    !st.wedged && st.out_buffer.len() + params.out_token_bytes <= params.output_buffer_bytes
+}
+
 /// The unit's input pins, derived purely from its own [`PuState`].
 #[inline]
 pub(crate) fn pins_of(st: &PuState, params: &EvalParams) -> PuIn {
@@ -351,14 +360,14 @@ pub(crate) fn pins_of(st: &PuState, params: &EvalParams) -> PuIn {
         input_token: if have { st.in_buffer.peek_token(params.in_token_bytes) } else { 0 },
         input_valid: have,
         input_finished: exhausted,
-        output_ready: st.out_buffer.len() + params.out_token_bytes
-            <= params.output_buffer_bytes,
+        output_ready: output_ready_of(st, params),
     }
 }
 
-/// Phase 1 of a cycle for one unit: combinational evaluation + clock,
-/// touching only `unit` itself and reading `st` immutably. Returns the
-/// effect record for the serial merge.
+/// Phase 1 of a cycle for one unit: combinational evaluation + clock
+/// (one fused step when [`lane_preeval`] already retired the unit's
+/// virtual cycle), touching only `unit` itself and reading `st`
+/// immutably. Returns the effect record for the serial merge.
 ///
 /// `reference` selects the seed-faithful reference program (the naive
 /// tick) and disables sleeping; the fast paths pass `false`.
@@ -375,7 +384,12 @@ pub(crate) fn eval_unit<U: StreamUnit>(
     // comparisons are honest. Both are cycle-exact.
     unit.set_reference_eval(reference);
     let pins = pins_of(st, params);
-    let out = unit.comb(&pins);
+    let retired = unit.lane_exec_mut().and_then(|x| x.clock_retired(&pins));
+    let out = retired.unwrap_or_else(|| {
+        let out = unit.comb(&pins);
+        unit.clock(&pins);
+        out
+    });
     // Exactly one class per PU per cycle (conservation):
     // back-pressured emission is an output stall, an idle unit whose
     // buffer has no token is an input stall, everything else (including
@@ -390,7 +404,6 @@ pub(crate) fn eval_unit<U: StreamUnit>(
     let consumed = pins.input_valid && out.input_ready;
     let emitted = out.output_valid && pins.output_ready;
     let finished = out.output_finished;
-    unit.clock(&pins);
     let sleep = if reference {
         None
     } else if finished {
@@ -423,30 +436,46 @@ pub(crate) fn eval_unit<U: StreamUnit>(
     }
 }
 
+/// See [`PuExec::lane_retired`]: only ever true inside one engine cycle.
+fn lane_retired<U: StreamUnit>(unit: &U) -> bool {
+    unit.lane_exec().is_some_and(PuExec::lane_retired)
+}
+
 /// Lane-batched pre-evaluation: sweeps groups of active units that run
 /// the *same* packed program through one SIMD instruction walk
-/// ([`PuExecBatch`]), installing each unit's virtual-cycle result so
-/// its per-unit [`eval_unit`] call finds the evaluation already cached.
+/// ([`PuExecBatch::retire`]), which commits each lane's virtual cycle
+/// straight into its unit so the per-unit [`eval_unit`] call only has
+/// the fused [`PuExec::clock_retired`] step left. A lane whose emission
+/// is back-pressured is not retired: it leaves with the evaluation
+/// cached, and [`eval_unit`] stalls it through `comb`/`clock` as ever.
 ///
 /// Bit-exactness is structural: the vcycle evaluation reads only the
-/// unit's latched `(state, input token, finished)` triple — never its
-/// pins — and nothing between this pre-pass and the unit's own
-/// evaluation in the same cycle mutates that triple. Units whose
-/// program differs from the group anchor (or that have nothing pending)
-/// are simply left for the ordinary per-unit path, so serial and pooled
-/// drives may group differently and still agree on every bit.
+/// unit's latched `(state, input token, finished)` triple, and whether
+/// it commits this cycle depends only on the `output_ready` pin, which
+/// [`output_ready_of`] derives from the unit's own [`PuState`] —
+/// nothing between this pre-pass and the unit's own step in the same
+/// cycle mutates either. Units whose program differs from the group
+/// anchor (or that have nothing pending) are simply left for the
+/// ordinary per-unit path, so serial and pooled drives may group
+/// differently and still agree on every bit.
 ///
 /// `base` is the global index of `units[0]` (shards own a contiguous
-/// slice); `active` holds global indices. `batch` and `group` are
-/// caller-owned scratch recycled across cycles.
+/// slice); `active` (ascending) and `pus` use global indices. `batch`
+/// and `group` are caller-owned scratch recycled across cycles.
 pub(crate) fn lane_preeval<U: StreamUnit>(
     units: &mut [U],
     base: usize,
     active: &[usize],
-    width: usize,
+    pus: &[PuState],
+    params: &EvalParams,
     batch: &mut Option<PuExecBatch>,
     group: &mut Vec<usize>,
 ) {
+    debug_assert!(
+        !active.iter().any(|&p| lane_retired(&units[p - base])),
+        "a retired lane outlived its engine cycle"
+    );
+    let width = params.lane_width;
     if width <= 1 || active.len() < 2 {
         return;
     }
@@ -473,20 +502,20 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
         if chunk.len() < 2 {
             continue; // a lone lane gains nothing over the scalar path
         }
-        {
-            // Stack-resident lane list: `MemCtlConfig::check` caps the
-            // width, and so every chunk, at `MAX_LANES`, so no heap
-            // allocation per sweep.
-            let anchor = units[chunk[0] - base].lane_exec().expect("grouped above");
-            let mut lanes: [&PuExec; MAX_LANES] = [anchor; MAX_LANES];
-            for (slot, &p) in lanes.iter_mut().zip(chunk) {
-                *slot = units[p - base].lane_exec().expect("grouped above");
-            }
-            b.sweep(&lanes[..chunk.len()]);
-        }
+        // Stack-resident lane list (`MemCtlConfig::check` caps the
+        // width, and so every chunk, at `MAX_LANES`): the chunk is
+        // ascending, so its units peel off the front of the slice as
+        // disjoint `&mut`s.
+        let mut lanes: [Option<&mut PuExec>; MAX_LANES] = [const { None }; MAX_LANES];
+        let mut output_ready = 0u64;
+        let (mut rest, mut next) = (&mut *units, base);
         for (l, &p) in chunk.iter().enumerate() {
-            units[p - base].lane_exec_mut().expect("grouped above").adopt_lane_eval(b, l);
+            let (unit, tail) = rest[p - next..].split_first_mut().expect("grouped above");
+            lanes[l] = unit.lane_exec_mut();
+            output_ready |= u64::from(output_ready_of(&pus[p], params)) << l;
+            (rest, next) = (tail, p + 1);
         }
+        b.retire(&mut lanes[..chunk.len()], output_ready);
     }
 }
 
@@ -1104,8 +1133,8 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
         // --- Lane-batched pre-evaluation: sweep same-program units
         // awaiting a virtual-cycle evaluation through one SIMD
         // instruction walk, so the per-unit loop below finds their
-        // evaluations cached. ---
-        lane_preeval(units, 0, active, ctl.cfg.lane_width, batch, lane_group);
+        // virtual cycles already retired. ---
+        lane_preeval(units, 0, active, pus, &ctl.params, batch, lane_group);
         // --- Processing units (active worklist, index order): evaluate
         // and merge fused per unit. ---
         active.retain(|&p| {
@@ -1178,6 +1207,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
     fn flush_and_wake_all(&mut self) {
         self.flush_trace();
         debug_assert!(self.ctl.pending_skips.is_empty(), "skips drained at pooled teardown");
+        debug_assert!(!self.units.iter().any(lane_retired), "a retired lane outlived its engine cycle");
         self.ctl.woken.clear();
         self.active.clear();
         for p in 0..self.pus.len() {

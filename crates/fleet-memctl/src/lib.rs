@@ -19,6 +19,7 @@
 //! executor or full RTL simulation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod engine;

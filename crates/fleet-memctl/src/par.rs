@@ -90,7 +90,7 @@ fn run_shard<U: StreamUnit>(
     // Lane-batched pre-evaluation over this shard's slice (woken units
     // never have an evaluation pending — they were asleep last cycle —
     // so the owed skip spans applied below cannot interact with it).
-    lane_preeval(units, base, active, params.lane_width, batch, group);
+    lane_preeval(units, base, active, pus, params, batch, group);
     let mut wi = 0usize;
     active.retain(|&p| {
         let unit = &mut units[p - base];

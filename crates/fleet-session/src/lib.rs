@@ -26,6 +26,7 @@
 //! one-shot batch.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -40,6 +40,7 @@
 //! distributions through [`LatencyStats`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod counter;
 pub mod json;

@@ -216,6 +216,58 @@ fn lane_width_grid_equals_naive() {
     }
 }
 
+/// Lane groups as wide as the benchmark's: one channel holding 72
+/// replicas sweeps a full 64-lane chunk plus an 8-lane remainder at the
+/// default width, where the other cases never put more than three
+/// units on a channel. The output buffer holds exactly one burst and
+/// two burst registers per direction serve all 72 units, so a unit
+/// that emits as fast as it reads is back-pressured *inside* a group —
+/// retired and stalled lanes share sweeps. (JSON emits too little to
+/// ever fill its buffer at this size; it rides along for its divergent
+/// emits. Bloom's end-of-stream filter dump stalls every lane at once.)
+#[test]
+fn wide_lane_groups_equal_naive() {
+    const PUS: u64 = 72;
+    let app_case = |kind: AppKind, stalls: bool| {
+        let app = App::new(kind);
+        let gen: Box<dyn Fn(u64) -> Vec<u8>> = Box::new(move |p| app.gen_stream(0x71DE ^ p, 384));
+        (app.name(), app.spec(), gen, app.out_capacity(512), stalls)
+    };
+    let identity: Box<dyn Fn(u64) -> Vec<u8>> =
+        Box::new(|p| (0..256 + 4 * p).map(|i| (i * 31 + p * 7) as u8).collect());
+    let cases = [
+        ("Identity", fleet_apps::micro::identity(), identity, 1024, true),
+        app_case(AppKind::Json, false),
+        app_case(AppKind::IntCode, true),
+        app_case(AppKind::Bloom, true),
+    ];
+    for (name, spec, gen, out_cap, stalls) in &cases {
+        let streams: Vec<Vec<u8>> = (0..PUS).map(gen).collect();
+        let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
+        let mut cfg = SystemConfig::f1(*out_cap);
+        cfg.platform.channels = 1;
+        cfg.memctl.lane_width = 64;
+        cfg.memctl.output_buffer_bytes = cfg.memctl.burst_bytes;
+        cfg.memctl.burst_registers = 2;
+        let unit = CompiledUnit::new(spec);
+
+        let (mut naive, _) = build_system_engines_traced(&unit, &refs, &cfg);
+        assert_eq!((naive.len(), naive[0].len()), (1, PUS as usize));
+        drive_naive(&mut naive);
+        let reference = observe(&mut naive);
+        let stalled: u64 = reference[0].counters.iter().map(|c| c.stall_out).sum();
+        assert_eq!(stalled > 0, *stalls, "{name}: back-pressured for {stalled} PU-cycles");
+
+        for threads in [1usize, 2] {
+            let pool = SimPool::new(SimThreads::Fixed(threads));
+            let (mut engines, _) = build_system_engines_traced(&unit, &refs, &cfg);
+            drive_pooled(&mut engines, &pool);
+            let got = observe(&mut engines);
+            assert_obs_eq(&format!("{name} x 72 on one channel @ {threads} threads"), &reference, &got);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
