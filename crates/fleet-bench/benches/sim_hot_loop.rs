@@ -64,7 +64,7 @@ fn bench_channel_engine_tick(c: &mut Criterion) {
                 let (mut engines, _) = build_system_engines(&unit, &refs, &cfg);
                 let mut cycles = 0u64;
                 for eng in engines.iter_mut() {
-                    cycles += eng.run_to_completion(100_000_000);
+                    cycles += eng.run_channel(100_000_000, None, 1).expect("bench inputs finish");
                 }
                 cycles
             })

@@ -23,7 +23,8 @@
 //!   every `--threads` value; asserts both paths simulate the same
 //!   number of cycles.
 //! - `--threads <N|auto>`: size of the shared simulation worker pool
-//!   (default `auto` = host parallelism). With more than one thread the
+//!   (default 1 = the serial drive, like `SystemConfig::f1`; `auto` =
+//!   host parallelism). With more than one thread the
 //!   headline numbers come from the pooled sharded drive, a serial
 //!   baseline is also timed, and the run *asserts* that both drives
 //!   simulate identical cycles and produce byte-identical outputs (via
@@ -153,7 +154,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut compare_naive = false;
-    let mut threads_cfg = SimThreads::Auto;
+    let mut threads_cfg = SimThreads::Fixed(1);
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {

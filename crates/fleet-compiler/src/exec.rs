@@ -112,7 +112,7 @@ impl CompiledUnit {
     /// # Panics
     ///
     /// Panics if the unit fails validation; validate with
-    /// [`fleet_lang::validate`] (or build via `UnitBuilder`) first.
+    /// [`fleet_lang::validate()`] (or build via `UnitBuilder`) first.
     pub fn new(spec: &UnitSpec) -> CompiledUnit {
         CompiledUnit::from_arc(Arc::new(spec.clone()))
     }
@@ -211,7 +211,7 @@ impl PuExec {
     /// # Panics
     ///
     /// Panics if the unit fails validation; validate with
-    /// [`fleet_lang::validate`] (or build via `UnitBuilder`) first.
+    /// [`fleet_lang::validate()`] (or build via `UnitBuilder`) first.
     pub fn new(spec: &UnitSpec) -> PuExec {
         PuExec::from_compiled(&CompiledUnit::new(spec))
     }

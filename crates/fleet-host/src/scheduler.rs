@@ -637,12 +637,51 @@ impl Host {
             for (i, batch, result) in launched {
                 let pack_us = self.cfg.pack_us_fixed
                     + self.cfg.pack_us_per_stream * batch.slots_used as u64;
+                let (seconds, faults_injected) = match &result {
+                    Ok(report) => (report.seconds, report.faults_injected),
+                    Err(failure) => (failure.seconds, failure.faults_injected),
+                };
+                counters.faults_injected += faults_injected;
+                let run_us = (seconds * 1e6).ceil() as u64;
+                let batch_done = now + pack_us + run_us;
+                // Outputs drain job by job over the host link, so
+                // completion times serialize within the batch — that
+                // order is the completion order.
+                let mut t = batch_done;
+                let drain_us_per_kib = self.cfg.drain_us_per_kib;
+                let mut complete = |job: &Job, outputs: Vec<Vec<u8>>| {
+                    let output_bytes: u64 = outputs.iter().map(|o| o.len() as u64).sum();
+                    t += 1 + output_bytes.div_ceil(1024) * drain_us_per_kib;
+                    let deadline_met = job.deadline_us.map(|d| t <= d);
+                    if deadline_met == Some(false) {
+                        counters.deadline_misses += 1;
+                    }
+                    counters.completed += 1;
+                    completed.push(CompletedJob {
+                        id: job.id,
+                        tenant: job.tenant,
+                        instance: i,
+                        arrival_us: job.arrival_us,
+                        started_us: now,
+                        completed_us: t,
+                        latency: JobLatency {
+                            queue_us: now - job.arrival_us,
+                            pack_us,
+                            run_us,
+                            // The drain phase includes waiting behind
+                            // earlier jobs' drains, so per-job phases
+                            // always sum to arrival→completion.
+                            drain_us: t - batch_done,
+                        },
+                        input_bytes: job.input_bytes(),
+                        output_bytes,
+                        outputs,
+                        deadline_met,
+                    });
+                };
                 match result {
                     Ok(report) => {
                         consec_failures[i] = 0;
-                        counters.faults_injected += report.faults_injected;
-                        let run_us = (report.seconds * 1e6).ceil() as u64;
-                        let batch_done = now + pack_us + run_us;
                         // Feed the predictor: the observation becomes
                         // visible to scheduling once the virtual clock
                         // reaches the batch's completion, never before.
@@ -662,43 +701,11 @@ impl Host {
                             report.input_bytes,
                             report.output_bytes,
                         );
-                        // Outputs drain job by job over the host link,
-                        // so completion times serialize within the
-                        // batch — that order is the completion order.
-                        let mut t = batch_done;
                         let mut off = 0usize;
                         for job in &batch.jobs {
                             let outs = &report.outputs[off..off + job.streams.len()];
                             off += job.streams.len();
-                            let output_bytes: u64 = outs.iter().map(|o| o.len() as u64).sum();
-                            t += 1 + output_bytes.div_ceil(1024) * self.cfg.drain_us_per_kib;
-                            // The drain phase includes waiting behind
-                            // earlier jobs' drains, so per-job phases
-                            // always sum to arrival→completion.
-                            let drain_us = t - batch_done;
-                            let deadline_met = job.deadline_us.map(|d| t <= d);
-                            if deadline_met == Some(false) {
-                                counters.deadline_misses += 1;
-                            }
-                            counters.completed += 1;
-                            completed.push(CompletedJob {
-                                id: job.id,
-                                tenant: job.tenant,
-                                instance: i,
-                                arrival_us: job.arrival_us,
-                                started_us: now,
-                                completed_us: t,
-                                latency: JobLatency {
-                                    queue_us: now - job.arrival_us,
-                                    pack_us,
-                                    run_us,
-                                    drain_us,
-                                },
-                                input_bytes: job.input_bytes(),
-                                output_bytes,
-                                outputs: outs.to_vec(),
-                                deadline_met,
-                            });
+                            complete(job, outs.to_vec());
                         }
                         busy_until[i] = Some(t);
                     }
@@ -711,61 +718,20 @@ impl Host {
                         // the cause may be transient, or fail with the
                         // rendered cause. The instance stays occupied
                         // for the cycles the failed run actually burned.
-                        let RunFailure {
-                            error,
-                            partial_outputs,
-                            cycles: _,
-                            seconds,
-                            faults_injected,
-                        } = *failure;
-                        counters.faults_injected += faults_injected;
-                        let run_us = (seconds * 1e6).ceil() as u64;
-                        let batch_done = now + pack_us + run_us;
+                        let RunFailure { error, partial_outputs, .. } = *failure;
                         let message = error.to_string();
                         let can_retry = retryable(&error);
 
-                        let mut t = batch_done;
                         let mut off = 0usize;
                         for job in &batch.jobs {
                             let parts = &partial_outputs[off..off + job.streams.len()];
                             off += job.streams.len();
 
-                            if parts.iter().all(|p| p.is_some()) {
-                                // Salvaged: every stream of this job
-                                // finished and drained; it completes
-                                // with normal timing despite the batch
-                                // failure.
-                                let outs: Vec<Vec<u8>> = parts
-                                    .iter()
-                                    .map(|p| p.clone().expect("checked Some"))
-                                    .collect();
-                                let output_bytes: u64 =
-                                    outs.iter().map(|o| o.len() as u64).sum();
-                                t += 1 + output_bytes.div_ceil(1024) * self.cfg.drain_us_per_kib;
-                                let drain_us = t - batch_done;
-                                let deadline_met = job.deadline_us.map(|d| t <= d);
-                                if deadline_met == Some(false) {
-                                    counters.deadline_misses += 1;
-                                }
-                                counters.completed += 1;
-                                completed.push(CompletedJob {
-                                    id: job.id,
-                                    tenant: job.tenant,
-                                    instance: i,
-                                    arrival_us: job.arrival_us,
-                                    started_us: now,
-                                    completed_us: t,
-                                    latency: JobLatency {
-                                        queue_us: now - job.arrival_us,
-                                        pack_us,
-                                        run_us,
-                                        drain_us,
-                                    },
-                                    input_bytes: job.input_bytes(),
-                                    output_bytes,
-                                    outputs: outs,
-                                    deadline_met,
-                                });
+                            // Salvaged: every stream of this job
+                            // finished and drained; it completes with
+                            // normal timing despite the batch failure.
+                            if parts.iter().all(Option::is_some) {
+                                complete(job, parts.iter().flatten().cloned().collect());
                                 continue;
                             }
 
@@ -810,7 +776,7 @@ impl Host {
                             failed.push(FailedJob { id: job.id, tenant: job.tenant, error });
                         }
 
-                        busy_until[i] = Some(t.max(batch_done));
+                        busy_until[i] = Some(t);
                         consec_failures[i] += 1;
                         if self.cfg.quarantine_after > 0
                             && consec_failures[i] >= self.cfg.quarantine_after
@@ -868,45 +834,28 @@ impl Host {
             // every job still ends in exactly one reported state — and
             // stop instead of spinning on a clock with no events.
             if quarantined.iter().all(|&q| q) {
-                // Held batches can only sit on healthy instances, so
-                // this is normally empty — but fail their members too
-                // rather than ever losing a job.
-                for (batch, _) in held.iter_mut().filter_map(|h| h.take()) {
-                    for job in batch.jobs {
+                const REASON: &str = "all instances quarantined";
+                let mut fail_all = |jobs: &mut dyn Iterator<Item = Job>| {
+                    for job in jobs {
                         counters.failed += 1;
                         failed.push(FailedJob {
                             id: job.id,
                             tenant: job.tenant,
-                            error: "all instances quarantined".to_string(),
+                            error: REASON.to_string(),
                         });
                     }
-                }
-                for job in queue.drain_matching(&mut |_| true) {
-                    counters.failed += 1;
-                    failed.push(FailedJob {
-                        id: job.id,
-                        tenant: job.tenant,
-                        error: "all instances quarantined".to_string(),
-                    });
-                }
-                for (_, job) in retries.drain(..) {
-                    counters.failed += 1;
-                    failed.push(FailedJob {
-                        id: job.id,
-                        tenant: job.tenant,
-                        error: "all instances quarantined".to_string(),
-                    });
-                }
+                };
+                // Held batches can only sit on healthy instances, so
+                // this is normally empty — but fail their members too
+                // rather than ever losing a job.
+                fail_all(&mut held.iter_mut().filter_map(Option::take).flat_map(|(b, _)| b.jobs));
+                fail_all(&mut queue.drain_matching(&mut |_| true).into_iter());
+                fail_all(&mut retries.drain(..).map(|(_, job)| job));
                 while let Some(arrival) = source.next_arrival() {
                     match arrival {
                         Arrival::Job(job) => {
                             counters.submitted += 1;
-                            counters.failed += 1;
-                            failed.push(FailedJob {
-                                id: job.id,
-                                tenant: job.tenant,
-                                error: "all instances quarantined".to_string(),
-                            });
+                            fail_all(&mut std::iter::once(job));
                         }
                         Arrival::Open(o) => {
                             counters.sessions.opened += 1;
@@ -916,7 +865,7 @@ impl Host {
                                 tenant: o.tenant,
                                 opened_us: o.at_us,
                                 finished_us: o.at_us,
-                                outcome: "failed: all instances quarantined".to_string(),
+                                outcome: format!("failed: {REASON}"),
                                 ..SessionRecord::default()
                             });
                         }
@@ -924,7 +873,7 @@ impl Host {
                     }
                 }
                 for (&sid, s) in sessions.iter_mut() {
-                    s.fail_external(now, "all instances quarantined");
+                    s.fail_external(now, REASON);
                     if let (Some(run), Some(&i)) = (s.run(), resident_on.get(&sid)) {
                         instances[i].record_open_run(run, true);
                     }

@@ -52,8 +52,8 @@ impl BramDef {
 /// A complete Fleet processing-unit specification.
 ///
 /// Build one with [`UnitBuilder`](crate::builder::UnitBuilder), then
-/// validate it with [`UnitSpec::validate`] before handing it to the
-/// interpreter or compiler.
+/// validate it with [`validate()`](crate::validate::validate) before
+/// handing it to the interpreter or compiler.
 #[derive(Debug, Clone)]
 pub struct UnitSpec {
     /// Unit name (used as the RTL module name).

@@ -83,7 +83,7 @@ pub fn dram_counters(s: ChannelStats) -> DramCounters {
 }
 
 /// Placement of one unit's streams within a channel's memory.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamAssignment {
     /// Byte offset of the input stream (beat-aligned).
     pub in_start: usize,
@@ -622,7 +622,7 @@ pub(crate) struct Ctl<S: TraceSink> {
     pub(crate) pending_outputs: usize,
     /// Units whose stream is currently open-ended (session mode), kept
     /// sorted. Empty for one-shot runs, so the per-cycle starvation
-    /// check in the open run loops is a single branch.
+    /// check in the run loop is a single branch.
     pub(crate) open_units: Vec<usize>,
     /// First unit observed overflowing its output region.
     pub(crate) first_overflow: Option<usize>,
@@ -858,7 +858,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
     ///
     /// Per-PU cycle classes for sleeping units are accounted lazily;
     /// call [`ChannelEngine::flush_trace`] first when reading counters
-    /// mid-run. [`ChannelEngine::run_to_completion`] and
+    /// mid-run. [`ChannelEngine::run_channel`] and
     /// [`ChannelEngine::into_sink`] flush for you.
     pub fn sink(&self) -> &S {
         self.ctl.probe.sink()
@@ -1010,6 +1010,12 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
         self.pus[p].assign.in_len
     }
 
+    /// Where unit `p`'s streams sit in the channel's memory (`in_len`
+    /// is the current appended length for an open stream).
+    pub fn assignment(&self, p: usize) -> StreamAssignment {
+        self.pus[p].assign
+    }
+
     /// Appends `bytes` to open stream `p`: writes them into the
     /// channel's backing memory directly after the stream's current end
     /// and extends the stream length. Call only between run quanta
@@ -1148,12 +1154,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
             }
         });
 
-        let mut direct = Some(units.as_mut_slice());
-        ctl.input_controller_tick(pus, &mut direct, false);
-        ctl.output_controller_tick(pus, &mut direct, false);
-        ctl.channel_probes();
-        ctl.dram.tick();
-        ctl.stats.cycles += 1;
+        ctl.finish_cycle(pus, &mut Some(units.as_mut_slice()), false);
 
         if !ctl.woken.is_empty() {
             ctl.woken_peak = ctl.woken_peak.max(ctl.woken.len());
@@ -1192,13 +1193,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
             debug_assert!(keep, "reference evaluation never parks a unit");
         }
 
-        let mut direct = Some(units.as_mut_slice());
-        ctl.input_controller_tick(pus, &mut direct, true);
-        ctl.output_controller_tick(pus, &mut direct, true);
-        ctl.channel_probes();
-
-        ctl.dram.tick();
-        ctl.stats.cycles += 1;
+        ctl.finish_cycle(pus, &mut Some(units.as_mut_slice()), true);
     }
 
     /// Flushes deferred accounting and returns every sleeper to the
@@ -1224,86 +1219,6 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
     pub fn done(&self) -> bool {
         self.ctl.pending_outputs == 0 && self.ctl.dram.write_queue_len() == 0
     }
-
-    /// Runs until [`ChannelEngine::done`] or `max_cycles`, then flushes
-    /// deferred trace accounting.
-    ///
-    /// Returns the cycle count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine does not finish within `max_cycles`.
-    pub fn run_to_completion(&mut self, max_cycles: u64) -> u64 {
-        let start = self.ctl.stats.cycles;
-        while !self.done() {
-            self.tick();
-            assert!(
-                self.ctl.stats.cycles - start < max_cycles,
-                "channel engine did not finish within {max_cycles} cycles"
-            );
-        }
-        self.flush_trace();
-        self.ctl.stats.cycles - start
-    }
-
-    /// Serial fast-path run loop, checking for output overflow and the
-    /// cycle budget after every cycle (the behaviour channel worker
-    /// threads had when they owned this loop); the trace is flushed on
-    /// every exit path. With `stop_on_starved` clear this is the
-    /// one-shot loop and always ends [`OpenStep::Done`] (or an error);
-    /// with it set the loop suspends — between cycles, all state
-    /// preserved — as soon as any open stream has fewer un-fetched
-    /// bytes than one input burst. Up to that point the engine cannot
-    /// observe that the stream is shorter than its eventual total, so
-    /// every cycle it does execute is bit-identical to the
-    /// same-numbered cycle of a one-shot run over the full concatenated
-    /// input.
-    pub(crate) fn run_channel_serial_open(
-        &mut self,
-        max_cycles: u64,
-        stop_on_starved: bool,
-    ) -> Result<OpenStep, EngineRunError> {
-        let start = self.ctl.stats.cycles;
-        let mut watchdog = Watchdog::new(self.ctl.watchdog_cycles, self.ctl.progress_sig());
-        let result = loop {
-            if self.done() {
-                break Ok(OpenStep::Done(self.ctl.stats.cycles - start));
-            }
-            if stop_on_starved && self.ctl.open_starved(&self.pus) {
-                break Ok(OpenStep::Suspended(self.ctl.stats.cycles - start));
-            }
-            // Event-driven clock: with every unit asleep and the
-            // controllers provably inert, jump straight to the next
-            // externally-timed event instead of ticking through the
-            // stall. Post-skip checks mirror the post-tick checks below
-            // (no overflow can arise inside a skipped span).
-            if self.active.is_empty() {
-                let n = self.ctl.skip_window(&self.pus, start, max_cycles, watchdog.idle);
-                if n > 0 {
-                    self.ctl.apply_skip(n);
-                    if self.ctl.stats.cycles - start > max_cycles {
-                        break Err(EngineRunError::Timeout { max_cycles });
-                    }
-                    if watchdog.skipped(n, self.ctl.progress_sig()) {
-                        break Err(stall_error(&self.pus, watchdog.idle));
-                    }
-                    continue;
-                }
-            }
-            self.tick();
-            if let Some(unit) = self.ctl.first_overflow {
-                break Err(EngineRunError::Overflow { unit });
-            }
-            if self.ctl.stats.cycles - start > max_cycles {
-                break Err(EngineRunError::Timeout { max_cycles });
-            }
-            if watchdog.stuck(self.ctl.progress_sig()) {
-                break Err(stall_error(&self.pus, watchdog.idle));
-            }
-        };
-        self.flush_trace();
-        result
-    }
 }
 
 /// The channel-wide forward-progress signature the watchdog samples
@@ -1312,8 +1227,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
 /// completed, and no DRAM request advanced.
 pub(crate) type ProgressSig = (u64, u64, u64, usize, u64, u64, usize, usize);
 
-/// Per-run no-forward-progress detector shared by the serial and pooled
-/// run loops (identical placement keeps the paths bit-identical).
+/// Per-run no-forward-progress detector of the run loop.
 pub(crate) struct Watchdog {
     window: u64,
     sig: ProgressSig,
@@ -1358,8 +1272,8 @@ impl Watchdog {
 
 impl<S: TraceSink> Ctl<S> {
     /// Whether any open-ended stream cannot supply one more full burst
-    /// beyond what the addressing unit has already fetched. The open run
-    /// loops suspend the channel *before* such a cycle would tick:
+    /// beyond what the addressing unit has already fetched. An open run
+    /// suspends the channel *before* such a cycle would tick:
     /// mid-stream fetches then always move whole bursts, exactly like
     /// the equivalent one-shot run, which is what makes suspend/resume
     /// cycle-exact. One-shot runs have no open units, so this is a
@@ -1475,8 +1389,25 @@ impl<S: TraceSink> Ctl<S> {
         }
     }
 
+    /// The back half of every cycle, shared by the serial, naive and
+    /// pooled drives: input controller, output controller, channel
+    /// probes, DRAM, cycle count — in that order. `units` is `None`
+    /// while the units live with the shard workers (see [`Ctl::wake`]).
+    pub(crate) fn finish_cycle<U: StreamUnit>(
+        &mut self,
+        pus: &mut [PuState],
+        units: &mut Option<&mut [U]>,
+        naive: bool,
+    ) {
+        self.input_controller_tick(pus, units, naive);
+        self.output_controller_tick(pus, units, naive);
+        self.channel_probes();
+        self.dram.tick();
+        self.stats.cycles += 1;
+    }
+
     /// Channel-level per-cycle probes (queue depths, bus occupancy).
-    pub(crate) fn channel_probes(&mut self) {
+    fn channel_probes(&mut self) {
         if self.probe.enabled() {
             let in_active =
                 self.in_regs.iter().filter(|r| !matches!(r, InRegState::Free)).count();
@@ -1709,7 +1640,7 @@ impl<S: TraceSink> Ctl<S> {
         }
     }
 
-    pub(crate) fn input_controller_tick<U: StreamUnit>(
+    fn input_controller_tick<U: StreamUnit>(
         &mut self,
         pus: &mut [PuState],
         units: &mut Option<&mut [U]>,
@@ -2015,7 +1946,7 @@ impl<S: TraceSink> Ctl<S> {
         None
     }
 
-    pub(crate) fn output_controller_tick<U: StreamUnit>(
+    fn output_controller_tick<U: StreamUnit>(
         &mut self,
         pus: &mut [PuState],
         units: &mut Option<&mut [U]>,
@@ -2123,7 +2054,7 @@ impl<U: StreamUnit> ChannelEngine<U, CounterSink> {
     ///
     /// `streams[p]` is the global stream index unit `p` processed. Call
     /// [`ChannelEngine::flush_trace`] first if the engine was ticked
-    /// manually (rather than via [`ChannelEngine::run_to_completion`]).
+    /// manually (rather than via [`ChannelEngine::run_channel`]).
     pub fn channel_trace(&self, streams: &[usize]) -> ChannelTrace {
         ChannelTrace::new(
             self.ctl.probe.sink(),

@@ -32,7 +32,7 @@ pub use engine::{
     dram_counters, ChannelEngine, EngineRunError, EngineStats, MisalignedClose, OpenStep,
     StreamAssignment,
 };
-pub use pool::{SimPool, SimThreads};
+pub use pool::{panic_message, SimPool, SimThreads};
 pub use unit::StreamUnit;
 
 #[cfg(test)]
@@ -110,7 +110,7 @@ mod tests {
         let spec = identity_spec();
         let stream: Vec<u8> = (0..1000u32).map(|x| (x * 7 + 3) as u8).collect();
         let mut eng = build_engine(&spec, MemCtlConfig::default(), 1, &stream, stream.len());
-        eng.run_to_completion(1_000_000);
+        eng.run_channel(1_000_000, None, 1).unwrap();
         assert!(!eng.any_overflow());
         assert_eq!(eng.output_bytes(0), stream);
     }
@@ -121,7 +121,7 @@ mod tests {
         let stream: Vec<u8> = (0..777u32).map(|x| (x * 31 + 11) as u8).collect();
         let n = 20;
         let mut eng = build_engine(&spec, MemCtlConfig::default(), n, &stream, stream.len());
-        eng.run_to_completion(10_000_000);
+        eng.run_channel(10_000_000, None, 1).unwrap();
         for p in 0..n {
             assert_eq!(eng.output_bytes(p), stream, "unit {p} corrupted its stream");
         }
@@ -155,7 +155,7 @@ mod tests {
         let golden = Interpreter::run_tokens(&spec, &tokens).unwrap();
 
         let mut eng = build_engine(&spec, MemCtlConfig::default(), 3, &stream, 2048);
-        eng.run_to_completion(1_000_000);
+        eng.run_channel(1_000_000, None, 1).unwrap();
         let expect: Vec<u8> = golden.tokens.iter().map(|&t| t as u8).collect();
         for p in 0..3 {
             assert_eq!(eng.output_bytes(p), expect);
@@ -179,7 +179,7 @@ mod tests {
             MemCtlConfig::default(),
         ] {
             let mut eng = build_engine(&spec, cfg, n, &stream, 64);
-            let c = eng.run_to_completion(100_000_000);
+            let c = eng.run_channel(100_000_000, None, 1).unwrap();
             cycles.push(c);
         }
         assert!(
@@ -209,7 +209,7 @@ mod tests {
         let stream = vec![1u8; 4 * 1024];
         let n = 128;
         let mut eng = build_engine(&spec, MemCtlConfig::default(), n, &stream, 64);
-        let cycles = eng.run_to_completion(100_000_000);
+        let cycles = eng.run_channel(100_000_000, None, 1).unwrap();
         let bytes = (n * stream.len()) as f64;
         let per_cycle = bytes / cycles as f64;
         assert!(
@@ -224,7 +224,7 @@ mod tests {
         let spec = identity_spec();
         let stream: Vec<u8> = (0..301u32).map(|x| x as u8).collect();
         let mut eng = build_engine(&spec, MemCtlConfig::default(), 2, &stream, 512);
-        eng.run_to_completion(1_000_000);
+        eng.run_channel(1_000_000, None, 1).unwrap();
         for p in 0..2 {
             assert_eq!(eng.output_bytes(p), stream);
         }
@@ -239,12 +239,12 @@ mod tests {
         let n = 4;
 
         let mut plain = build_engine(&spec, MemCtlConfig::default(), n, &stream, stream.len());
-        plain.run_to_completion(1_000_000);
+        plain.run_channel(1_000_000, None, 1).unwrap();
 
         let sink = (CounterSink::new(), VcdSink::new());
         let mut traced =
             build_engine_with(&spec, MemCtlConfig::default(), n, &stream, stream.len(), sink);
-        traced.run_to_completion(1_000_000);
+        traced.run_channel(1_000_000, None, 1).unwrap();
 
         // Tracing must not perturb the simulation.
         assert_eq!(plain.stats().cycles, traced.stats().cycles);
@@ -295,7 +295,7 @@ mod tests {
 
         let mut fast =
             build_engine_with(&spec, MemCtlConfig::default(), n, &stream, stream.len(), CounterSink::new());
-        let fast_cycles = fast.run_to_completion(1_000_000);
+        let fast_cycles = fast.run_channel(1_000_000, None, 1).unwrap();
 
         let mut naive =
             build_engine_with(&spec, MemCtlConfig::default(), n, &stream, stream.len(), CounterSink::new());

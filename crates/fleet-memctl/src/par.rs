@@ -1,5 +1,7 @@
-//! Deterministic intra-channel parallel evaluation: the pooled run loop
-//! behind [`ChannelEngine::run_channel`].
+//! The one run loop behind [`ChannelEngine::run_channel`] and
+//! [`ChannelEngine::run_channel_open`], and the deterministic
+//! intra-channel parallel evaluation (the pooled drive) it can hand
+//! each cycle to.
 //!
 //! The sorted active worklist is partitioned into contiguous shards of
 //! unit indices. Every cycle, each shard with work is submitted to the
@@ -29,7 +31,6 @@
 //! dispatch) and returned through the engine's reply channel; the units
 //! are moved out of the engine once per *run*, not per cycle.
 
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -41,7 +42,7 @@ use crate::engine::{
     eval_unit, lane_preeval, merge_sorted_slice, stall_error, ChannelEngine, Ctl, EngineRunError,
     EvalParams, OpenStep, PuEffect, PuState, Watchdog,
 };
-use crate::pool::SimPool;
+use crate::pool::{panic_message, SimPool};
 use crate::unit::StreamUnit;
 
 /// One shard of a pooled run: a contiguous range of unit indices
@@ -64,16 +65,6 @@ struct ShardCtx<U> {
 }
 
 type ShardReply<U> = (usize, ShardCtx<U>, Result<(), String>);
-
-fn panic_text(e: Box<dyn Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "shard evaluation panicked".to_string()
-    }
-}
 
 /// Phase 1 for one shard: apply owed skip spans, evaluate every active
 /// unit, record effects, and drop units that parked themselves (the
@@ -199,20 +190,89 @@ fn maybe_rebalance<U>(slots: &mut Vec<Option<ShardCtx<U>>>, k: usize) {
     *slots = partition(units, active, wakes, k).into_iter().map(Some).collect();
 }
 
-/// One pooled cycle: dispatch, collect, merge, controllers, route wakes.
-#[allow(clippy::too_many_arguments)]
-fn pooled_cycle<U, S>(
-    ctl: &mut Ctl<S>,
-    shared: &mut Arc<Vec<PuState>>,
-    slots: &mut Vec<Option<ShardCtx<U>>>,
+/// A pooled run in flight — what the pooled drive owns between
+/// [`PooledRun::begin`] and [`PooledRun::end`]: the units (moved into
+/// per-shard vectors), the controller-side PU state (moved into the
+/// snapshot `Arc` the shard workers read), and the reply channel. The
+/// run loop itself is [`ChannelEngine::drive`], shared with the serial
+/// drive.
+struct PooledRun<'p, U> {
+    pool: &'p SimPool,
     k: usize,
-    pool: &SimPool,
-    reply_tx: &Sender<ShardReply<U>>,
-    reply_rx: &Receiver<ShardReply<U>>,
-) where
+    shared: Arc<Vec<PuState>>,
+    slots: Vec<Option<ShardCtx<U>>>,
+    reply_tx: Sender<ShardReply<U>>,
+    reply_rx: Receiver<ShardReply<U>>,
+}
+
+impl<'p, U: StreamUnit + Send + 'static> PooledRun<'p, U> {
+    /// Moves the mutable-per-worker state out of `eng` for the run.
+    /// O(n) once per run; per cycle everything moves by handle.
+    fn begin<S: TraceSink>(
+        eng: &mut ChannelEngine<U, S>,
+        pool: &'p SimPool,
+        shards: usize,
+    ) -> PooledRun<'p, U> {
+        // Park already-finished active units now, exactly as the serial
+        // tick's pre-check would on their next cycle (covers naive →
+        // pooled interleavings across runs).
+        let cycles = eng.ctl.stats.cycles;
+        let pus = &mut eng.pus;
+        eng.active.retain(|&p| {
+            if pus[p].finished {
+                pus[p].sleep = Some((cycles, CycleClass::Drained));
+            }
+            !pus[p].finished
+        });
+
+        let k = shards.min(pool.workers()).min(eng.units.len()).max(1);
+        let units = std::mem::take(&mut eng.units);
+        let active = std::mem::take(&mut eng.active);
+        let (reply_tx, reply_rx) = channel();
+        PooledRun {
+            pool,
+            k,
+            shared: Arc::new(std::mem::take(&mut eng.pus)),
+            slots: partition(units, active, Vec::new(), k).into_iter().map(Some).collect(),
+            reply_tx,
+            reply_rx,
+        }
+    }
+
+    /// Whether every shard's worklist is empty (the pooled drive's
+    /// "worklist empty").
+    fn idle(&self) -> bool {
+        self.slots.iter().all(|s| s.as_ref().expect("shard at home").active.is_empty())
+    }
+
+    /// Reassembles `eng` (shards are contiguous and in order) and
+    /// applies the skip spans still owed to woken units.
+    fn end<S: TraceSink>(self, eng: &mut ChannelEngine<U, S>) {
+        let mut deferred: Vec<(usize, u64)> = Vec::new();
+        eng.units = Vec::with_capacity(self.shared.len());
+        for slot in self.slots {
+            let ctx = slot.expect("all shards home after the run");
+            deferred.extend_from_slice(&ctx.wakes);
+            eng.active.extend_from_slice(&ctx.active);
+            eng.units.extend(ctx.units);
+        }
+        let Ok(pus) = Arc::try_unwrap(self.shared) else {
+            unreachable!("no worker holds PU state after the run");
+        };
+        eng.pus = pus;
+        for (p, span) in deferred {
+            eng.units[p].skip_cycles(span);
+        }
+    }
+}
+
+/// One pooled cycle: dispatch, collect, merge, controllers, route wakes.
+fn pooled_cycle<U, S>(run: &mut PooledRun<'_, U>, ctl: &mut Ctl<S>)
+where
     U: StreamUnit + Send + 'static,
     S: TraceSink,
 {
+    let PooledRun { pool, k, shared, slots, reply_tx, reply_rx } = run;
     ctl.probe.cycle_start(ctl.stats.cycles);
 
     // --- Dispatch: one job per shard with work. ---
@@ -229,7 +289,7 @@ fn pooled_cycle<U, S>(
         pool.submit(Box::new(move || {
             let r = catch_unwind(AssertUnwindSafe(|| run_shard(&mut ctx, &pus, &params, trace)));
             drop(pus); // release the snapshot before signalling completion
-            let _ = tx.send((i, ctx, r.map_err(panic_text)));
+            let _ = tx.send((i, ctx, r.map_err(panic_message)));
         }));
         outstanding += 1;
     }
@@ -264,12 +324,7 @@ fn pooled_cycle<U, S>(
 
     // --- Controllers and DRAM, exactly as the serial tick; skip spans
     // are deferred because the units live with the shards. ---
-    let mut no_units: Option<&mut [U]> = None;
-    ctl.input_controller_tick(pus, &mut no_units, false);
-    ctl.output_controller_tick(pus, &mut no_units, false);
-    ctl.channel_probes();
-    ctl.dram.tick();
-    ctl.stats.cycles += 1;
+    ctl.finish_cycle(pus, &mut None::<&mut [U]>, false);
 
     // --- Route woken units and their owed skip spans back to their
     // owning shards (everything stays sorted). ---
@@ -302,7 +357,7 @@ fn pooled_cycle<U, S>(
         debug_assert!(ctl.pending_skips.is_empty(), "skips only arise from wakes");
     }
 
-    maybe_rebalance(slots, k);
+    maybe_rebalance(slots, *k);
 }
 
 impl<U, S> ChannelEngine<U, S>
@@ -310,124 +365,101 @@ where
     U: StreamUnit + Send + 'static,
     S: TraceSink,
 {
-    /// Drives the channel to completion like the serial fast path, but
-    /// with the PU-evaluation phase of every cycle sharded across
-    /// `pool`'s workers (up to `shards` shards). Results are
-    /// bit-identical to [`ChannelEngine::tick`] and
-    /// [`ChannelEngine::tick_naive`] at every thread/shard count; with
-    /// no pool, one worker, or one shard this *is* the serial path.
+    /// Drives the channel to completion on the fast path. With a
+    /// multi-worker `pool`, more than one shard and more than one unit,
+    /// the PU-evaluation phase of every cycle is sharded across the
+    /// pool's workers (up to `shards` shards); otherwise every cycle is
+    /// a serial [`ChannelEngine::tick`]. Results are bit-identical to
+    /// [`ChannelEngine::tick`] and [`ChannelEngine::tick_naive`] at
+    /// every thread/shard count.
     ///
     /// Checks output overflow and the `max_cycles` budget after every
-    /// cycle and flushes trace accounting on every exit path, like the
-    /// per-channel driver loop in `fleet-system`.
+    /// cycle and flushes trace accounting on every exit path.
     pub fn run_channel(
         &mut self,
         max_cycles: u64,
         pool: Option<&SimPool>,
         shards: usize,
     ) -> Result<u64, EngineRunError> {
-        match self.run_channel_open_inner(max_cycles, pool, shards, false)? {
+        match self.drive(max_cycles, pool, shards, false)? {
             OpenStep::Done(cycles) | OpenStep::Suspended(cycles) => Ok(cycles),
         }
     }
 
     /// [`ChannelEngine::run_channel`] for open (appendable) streams:
-    /// same pooled/serial dispatch, but suspends with [`OpenStep::Suspended`]
-    /// — between cycles, all state preserved — whenever an open stream
-    /// has fewer un-fetched bytes than one input burst. Suspension
+    /// same drive, but suspends with [`OpenStep::Suspended`] — between
+    /// cycles, all state preserved — as soon as any open stream has
+    /// fewer un-fetched bytes than one input burst. Up to that point
+    /// the engine cannot observe that the stream is shorter than its
+    /// eventual total, so every cycle it does execute is bit-identical
+    /// to the same-numbered cycle of a one-shot run over the full
+    /// concatenated input, at every thread/shard count. Suspension
     /// happens on the engine thread while no worker holds the PU
-    /// snapshot, so appending and resuming later is race-free and the
-    /// resumed run is bit-identical to a one-shot run of the full
-    /// stream at every thread/shard count.
+    /// snapshot, so appending and resuming later is race-free.
     pub fn run_channel_open(
         &mut self,
         max_cycles: u64,
         pool: Option<&SimPool>,
         shards: usize,
     ) -> Result<OpenStep, EngineRunError> {
-        self.run_channel_open_inner(max_cycles, pool, shards, true)
+        self.drive(max_cycles, pool, shards, true)
     }
 
-    fn run_channel_open_inner(
+    /// The one run loop. The serial and pooled drives differ only in
+    /// who runs a cycle and where the PU state and worklist sit while
+    /// they do; the done / open-starved / event-skip / cycle / overflow
+    /// / budget / watchdog order below is what keeps them bit-identical.
+    fn drive(
         &mut self,
         max_cycles: u64,
         pool: Option<&SimPool>,
         shards: usize,
         stop_on_starved: bool,
     ) -> Result<OpenStep, EngineRunError> {
-        match pool {
+        let mut pooled = match pool {
             Some(pool) if pool.workers() > 1 && shards > 1 && self.units.len() > 1 => {
-                self.run_channel_pooled(max_cycles, pool, shards, stop_on_starved)
+                Some(PooledRun::begin(self, pool, shards))
             }
-            _ => self.run_channel_serial_open(max_cycles, stop_on_starved),
-        }
-    }
-
-    fn run_channel_pooled(
-        &mut self,
-        max_cycles: u64,
-        pool: &SimPool,
-        shards: usize,
-        stop_on_starved: bool,
-    ) -> Result<OpenStep, EngineRunError> {
+            _ => None,
+        };
         let start = self.ctl.stats.cycles;
-        // Park already-finished active units now, exactly as the serial
-        // tick's pre-check would on their next cycle (covers naive →
-        // pooled interleavings across runs).
-        {
-            let cycles = self.ctl.stats.cycles;
-            let pus = &mut self.pus;
-            self.active.retain(|&p| {
-                if pus[p].finished {
-                    pus[p].sleep = Some((cycles, CycleClass::Drained));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        let k = shards.min(pool.workers()).min(self.units.len()).max(1);
-        // Move the mutable-per-worker state out of the engine for the
-        // run: units into per-shard vectors, controller-side PU state
-        // into the shared snapshot Arc. O(n) once per run; per cycle
-        // everything moves by handle.
-        let units = std::mem::take(&mut self.units);
-        let active = std::mem::take(&mut self.active);
-        let mut shared: Arc<Vec<PuState>> = Arc::new(std::mem::take(&mut self.pus));
-        let mut slots: Vec<Option<ShardCtx<U>>> =
-            partition(units, active, Vec::new(), k).into_iter().map(Some).collect();
-        let (reply_tx, reply_rx) = channel::<ShardReply<U>>();
-
         let mut watchdog = Watchdog::new(self.ctl.watchdog_cycles, self.ctl.progress_sig());
         let result = loop {
             if self.done() {
                 break Ok(OpenStep::Done(self.ctl.stats.cycles - start));
             }
-            // Between cycles no worker holds the snapshot, so the
-            // starvation check can read it directly.
-            if stop_on_starved && self.ctl.open_starved(&shared) {
+            // Between cycles no worker holds the snapshot, so the loop
+            // reads a pooled run's PU state directly.
+            let (pus, idle) = match &pooled {
+                Some(run) => (run.shared.as_slice(), run.idle()),
+                None => (self.pus.as_slice(), self.active.is_empty()),
+            };
+            if stop_on_starved && self.ctl.open_starved(pus) {
                 break Ok(OpenStep::Suspended(self.ctl.stats.cycles - start));
             }
-            // Event-driven clock, exactly as the serial loop: with every
-            // shard's worklist empty and the controllers provably inert,
-            // jump to the next externally-timed event. The skip touches
-            // only controller/DRAM state, so the shard-held units need
-            // no attention (their sleep spans absorb the jump lazily).
-            if slots.iter().all(|s| s.as_ref().expect("shard at home").active.is_empty()) {
-                let n = self.ctl.skip_window(&shared, start, max_cycles, watchdog.idle);
+            // Event-driven clock: with every unit asleep and the
+            // controllers provably inert, jump straight to the next
+            // externally-timed event instead of ticking through the
+            // stall. The skip touches only controller/DRAM state (the
+            // units' sleep spans absorb the jump lazily), and no
+            // overflow can arise inside a skipped span.
+            if idle {
+                let n = self.ctl.skip_window(pus, start, max_cycles, watchdog.idle);
                 if n > 0 {
                     self.ctl.apply_skip(n);
                     if self.ctl.stats.cycles - start > max_cycles {
                         break Err(EngineRunError::Timeout { max_cycles });
                     }
                     if watchdog.skipped(n, self.ctl.progress_sig()) {
-                        break Err(stall_error(&shared, watchdog.idle));
+                        break Err(stall_error(pus, watchdog.idle));
                     }
                     continue;
                 }
             }
-            pooled_cycle(&mut self.ctl, &mut shared, &mut slots, k, pool, &reply_tx, &reply_rx);
+            match &mut pooled {
+                Some(run) => pooled_cycle(run, &mut self.ctl),
+                None => self.tick(),
+            }
             if let Some(unit) = self.ctl.first_overflow {
                 break Err(EngineRunError::Overflow { unit });
             }
@@ -435,28 +467,12 @@ where
                 break Err(EngineRunError::Timeout { max_cycles });
             }
             if watchdog.stuck(self.ctl.progress_sig()) {
-                // Between cycles no worker holds the snapshot, so the
-                // wedge attribution can read it directly.
-                break Err(stall_error(&shared, watchdog.idle));
+                let pus = pooled.as_ref().map_or(&self.pus, |run| &*run.shared);
+                break Err(stall_error(pus, watchdog.idle));
             }
         };
-
-        // Teardown: reassemble the engine (shards are contiguous and in
-        // order), apply skip spans still owed to woken units, flush.
-        let mut deferred: Vec<(usize, u64)> = Vec::new();
-        self.units = Vec::with_capacity(shared.len());
-        for slot in slots {
-            let ctx = slot.expect("all shards home after the run");
-            deferred.extend_from_slice(&ctx.wakes);
-            self.active.extend_from_slice(&ctx.active);
-            self.units.extend(ctx.units);
-        }
-        let Ok(pus) = Arc::try_unwrap(shared) else {
-            unreachable!("no worker holds PU state after the run");
-        };
-        self.pus = pus;
-        for (p, span) in deferred {
-            self.units[p].skip_cycles(span);
+        if let Some(run) = pooled {
+            run.end(self);
         }
         self.flush_trace();
         result

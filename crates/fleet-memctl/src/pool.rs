@@ -15,6 +15,13 @@
 //! no matter how many engines run at once — the host never
 //! oversubscribes its cores by nesting per-batch thread scopes.
 //!
+//! The pooled drive this pool serves is kept for the determinism gate —
+//! a second, independently scheduled execution of every cycle that must
+//! agree bit for bit with the serial drive — and has not been measured
+//! to win anywhere: on a 2-core host it runs at 0.09–0.16× of serial at
+//! paper PU counts (EXPERIMENTS S3), bounded by the per-cycle hand-off.
+//! `SystemConfig::f1` therefore defaults to the serial drive.
+//!
 //! Jobs must be pure compute. A job that blocks on the completion of
 //! *another pool job* can deadlock the pool, so callers that wait on
 //! replies (channel engines, system runners) must never themselves run
@@ -22,6 +29,7 @@
 //! choosing *either* channel-level jobs *or* shard-level jobs for one
 //! run, never both.
 
+use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
@@ -32,8 +40,9 @@ use std::thread::JoinHandle;
 ///
 /// `Fixed(1)` (or `Auto` on a single-core host) selects the exact
 /// serial fast path — no pool machinery, no worker threads, bit-\
-/// identical results. Every other setting is *also* bit-identical; it
-/// only changes wall-clock time.
+/// identical results — and is what `SystemConfig::f1` defaults to.
+/// Every other setting is *also* bit-identical; it only changes
+/// wall-clock time (so far for the worse, see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SimThreads {
     /// Use the host's available parallelism.
@@ -61,6 +70,19 @@ impl SimThreads {
         } else {
             s.parse::<usize>().ok().filter(|&n| n >= 1).map(SimThreads::Fixed)
         }
+    }
+}
+
+/// Renders a caught panic payload as text — what a shard job sends back
+/// over its reply channel and what the system layer reports as a worker
+/// panic.
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

@@ -48,7 +48,7 @@ fn equal_streams_all_complete_and_conserve_bytes() {
     let streams: Vec<Vec<u8>> =
         (0..24).map(|p| (0..1500u32).map(|i| ((i * 7 + p * 13) % 256) as u8).collect()).collect();
     let mut eng = engine(&spec, MemCtlConfig::default(), &streams, 2048);
-    eng.run_to_completion(50_000_000);
+    eng.run_channel(50_000_000, None, 1).unwrap();
     let total_in: u64 = streams.iter().map(|s| s.len() as u64).sum();
     assert_eq!(eng.stats().input_bytes, total_in, "every input byte delivered once");
     assert_eq!(eng.stats().output_bytes, total_in, "identity output conserved");
@@ -67,7 +67,7 @@ fn nonblocking_input_matches_blocking_on_uniform_load() {
     for policy in [Addressing::Blocking, Addressing::Nonblocking] {
         let cfg = MemCtlConfig { input_addressing: policy, ..MemCtlConfig::default() };
         let mut eng = engine(&spec, cfg, &streams, 2560);
-        let c = eng.run_to_completion(50_000_000);
+        let c = eng.run_channel(50_000_000, None, 1).unwrap();
         for (p, s) in streams.iter().enumerate() {
             assert_eq!(&eng.output_bytes(p), s, "policy {policy:?} stream {p}");
         }
@@ -85,7 +85,7 @@ fn tiny_streams_shorter_than_a_burst() {
     let spec = identity();
     let streams: Vec<Vec<u8>> = (1..6).map(|p| vec![p as u8; p as usize * 7]).collect();
     let mut eng = engine(&spec, MemCtlConfig::default(), &streams, 512);
-    eng.run_to_completion(5_000_000);
+    eng.run_channel(5_000_000, None, 1).unwrap();
     for (p, s) in streams.iter().enumerate() {
         assert_eq!(&eng.output_bytes(p), s);
     }
@@ -100,7 +100,7 @@ fn empty_output_unit_still_terminates() {
     let spec = u.build().unwrap();
     let streams: Vec<Vec<u8>> = (0..4).map(|_| vec![1u8; 900]).collect();
     let mut eng = engine(&spec, MemCtlConfig::default(), &streams, 128);
-    eng.run_to_completion(5_000_000);
+    eng.run_channel(5_000_000, None, 1).unwrap();
     for p in 0..4 {
         assert!(eng.output_bytes(p).is_empty());
     }

@@ -473,7 +473,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fleet_system::{Instance, SystemConfig};
+    use fleet_system::{run_system, Instance, SystemConfig};
     use fleet_compiler::CompiledUnit;
     use fleet_lang::UnitBuilder;
 
@@ -525,8 +525,8 @@ mod tests {
         assert_eq!(s.delivered_bytes(), 1000);
 
         // Cycle-exact vs the one-shot batch of the same stream.
-        let mut one = Instance::new(1, SystemConfig::f1(4096));
-        let report = one.run(&spec, std::slice::from_ref(&data), 2048).unwrap();
+        let report =
+            run_system(&spec, std::slice::from_ref(&data), &SystemConfig::f1(2048)).unwrap();
         assert_eq!(s.run().unwrap().cycles(), report.cycles);
 
         let rec = s.record();

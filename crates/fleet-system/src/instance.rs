@@ -10,16 +10,11 @@
 use std::sync::Arc;
 
 use fleet_compiler::CompiledUnit;
-use fleet_lang::UnitSpec;
+use fleet_fault::FaultPlan;
 use fleet_memctl::SimPool;
 
-use fleet_fault::FaultPlan;
-
 use crate::open::OpenRun;
-use crate::system::{
-    run_system_compiled_with, run_system_faulted, run_system_traced_with, RunFailure, RunReport,
-    SystemConfig, SystemError,
-};
+use crate::system::{run_system_faulted, RunFailure, RunReport, SystemConfig};
 
 /// Lifetime statistics of one instance, accumulated across runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -43,7 +38,7 @@ pub struct InstanceStats {
 /// One simulated F1 board, reusable across runs.
 ///
 /// The output-region capacity varies per batch (it depends on the jobs
-/// packed onto the board), so `run` takes it per call and the handle
+/// packed onto the board), so a run takes it per call and the handle
 /// keeps the platform/controller configuration fixed.
 #[derive(Debug, Clone)]
 pub struct Instance {
@@ -52,7 +47,7 @@ pub struct Instance {
     stats: InstanceStats,
     /// Shared simulation worker pool. When set, every run evaluates its
     /// PU shards on this pool; when absent, each run provisions its own
-    /// per [`SystemConfig::sim_threads`] (serial on a one-core host).
+    /// per [`SystemConfig::sim_threads`].
     pool: Option<Arc<SimPool>>,
 }
 
@@ -62,19 +57,14 @@ impl Instance {
         Instance { id, cfg, stats: InstanceStats::default(), pool: None }
     }
 
-    /// Builder form of [`Instance::set_pool`].
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<SimPool>) -> Instance {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Routes this instance's simulation work through `pool`, a pool
     /// shared across instances so concurrent batches never oversubscribe
     /// the host's cores. Thread count never changes results — only
     /// wall-clock time.
-    pub fn set_pool(&mut self, pool: Arc<SimPool>) {
+    #[must_use]
+    pub fn with_pool(mut self, pool: Arc<SimPool>) -> Instance {
         self.pool = Some(pool);
+        self
     }
 
     /// The instance id (its index in the host's pool).
@@ -92,73 +82,25 @@ impl Instance {
         self.stats
     }
 
-    /// Runs one batch of `streams` through replicated copies of `spec`
-    /// with the given per-unit output capacity, accumulating the
-    /// instance statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates every [`SystemError`] — including
-    /// [`SystemError::WorkerPanic`] from a poisoned channel thread — so
-    /// a failed batch leaves the instance reusable for the next one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` fails validation or a stream is not a whole
-    /// number of input tokens (callers are expected to validate jobs at
-    /// admission).
-    pub fn run(
-        &mut self,
-        spec: &UnitSpec,
-        streams: &[Vec<u8>],
-        out_capacity: usize,
-    ) -> Result<RunReport, SystemError> {
-        let mut cfg = self.cfg;
-        cfg.out_capacity = out_capacity;
-        let unit = CompiledUnit::new(spec);
-        let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-        let result = run_system_compiled_with(&unit, &refs, &cfg, self.pool.as_deref());
-        self.record(result)
-    }
-
-    /// Like [`Instance::run`], but takes a pre-compiled unit and
-    /// borrowed streams — the hot path for serving runtimes that run the
-    /// same spec batch after batch and should not re-validate, rebuild,
-    /// or copy anything per batch.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Instance::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stream is not a whole number of input tokens.
-    pub fn run_compiled(
-        &mut self,
-        unit: &CompiledUnit,
-        streams: &[&[u8]],
-        out_capacity: usize,
-    ) -> Result<RunReport, SystemError> {
-        let mut cfg = self.cfg;
-        cfg.out_capacity = out_capacity;
-        let result = run_system_compiled_with(unit, streams, &cfg, self.pool.as_deref());
-        self.record(result)
-    }
-
-    /// Like [`Instance::run_compiled`], but with a per-batch
-    /// [`FaultPlan`] override and the full [`RunFailure`] on error —
-    /// typed cause, per-stream partial results, cycles burned. The
-    /// serving layer's entry point for retry/salvage/quarantine logic.
-    /// An inert plan makes this identical to [`Instance::run_compiled`].
+    /// Runs one batch of `streams` through replicas of the pre-compiled
+    /// `unit` with the given per-unit output capacity and per-batch
+    /// [`FaultPlan`] (pass [`FaultPlan::none`] for a fault-free run),
+    /// accumulating the instance statistics. Nothing is re-validated,
+    /// rebuilt, or copied per batch, and a failure carries the full
+    /// [`RunFailure`] — typed cause, per-stream partial results, cycles
+    /// burned — for the serving layer's retry/salvage/quarantine logic.
     ///
     /// # Errors
     ///
     /// Returns the boxed [`RunFailure`] on overflow, timeout, wedge,
-    /// stall, or worker panic; the instance stays reusable.
+    /// stall, or worker panic (a poisoned channel thread surfaces as
+    /// [`SystemError::WorkerPanic`](crate::SystemError::WorkerPanic));
+    /// the instance stays reusable for the next batch.
     ///
     /// # Panics
     ///
-    /// Panics if a stream is not a whole number of input tokens.
+    /// Panics if a stream is not a whole number of input tokens
+    /// (callers are expected to validate jobs at admission).
     pub fn run_compiled_faulted(
         &mut self,
         unit: &CompiledUnit,
@@ -170,28 +112,6 @@ impl Instance {
         cfg.out_capacity = out_capacity;
         cfg.fault = fault;
         let result = run_system_faulted(unit, streams, &cfg, self.pool.as_deref());
-        self.record(result)
-    }
-
-    /// Like [`Instance::run`], but with cycle-level tracing enabled;
-    /// the report carries `trace: Some(..)`.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Instance::run`].
-    ///
-    /// # Panics
-    ///
-    /// Same panics as [`Instance::run`].
-    pub fn run_traced(
-        &mut self,
-        spec: &UnitSpec,
-        streams: &[Vec<u8>],
-        out_capacity: usize,
-    ) -> Result<RunReport, SystemError> {
-        let mut cfg = self.cfg;
-        cfg.out_capacity = out_capacity;
-        let result = run_system_traced_with(spec, streams, &cfg, self.pool.as_deref());
         self.record(result)
     }
 
@@ -219,8 +139,8 @@ impl Instance {
     }
 
     /// Accounts one finished open (session) run into the lifetime
-    /// statistics, mirroring what [`Instance::run`] records for a
-    /// one-shot batch of the same shape.
+    /// statistics, mirroring what [`Instance::run_compiled_faulted`]
+    /// records for a one-shot batch of the same shape.
     pub fn record_open_run(&mut self, run: &OpenRun, failed: bool) {
         if failed || run.is_failed() {
             self.stats.failed_runs += 1;
@@ -254,7 +174,8 @@ impl Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fleet_lang::UnitBuilder;
+    use crate::system::{run_system, SystemError};
+    use fleet_lang::{UnitBuilder, UnitSpec};
 
     fn identity_spec() -> UnitSpec {
         let mut u = UnitBuilder::new("Identity", 8, 8);
@@ -264,15 +185,28 @@ mod tests {
         u.build().unwrap()
     }
 
+    /// One fault-free batch of owned streams on `inst`.
+    fn run(
+        inst: &mut Instance,
+        spec: &UnitSpec,
+        streams: &[Vec<u8>],
+        out_capacity: usize,
+    ) -> Result<RunReport, SystemError> {
+        let unit = CompiledUnit::new(spec);
+        let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
+        inst.run_compiled_faulted(&unit, &refs, out_capacity, FaultPlan::none())
+            .map_err(|f| f.error)
+    }
+
     #[test]
     fn instance_is_reusable_and_accumulates_stats() {
         let spec = identity_spec();
         let mut inst = Instance::new(3, SystemConfig::f1(1024));
         assert_eq!(inst.id(), 3);
 
-        let a = inst.run(&spec, &[vec![1u8; 256], vec![2u8; 128]], 512).unwrap();
+        let a = run(&mut inst, &spec, &[vec![1u8; 256], vec![2u8; 128]], 512).unwrap();
         assert_eq!(a.outputs[0], vec![1u8; 256]);
-        let b = inst.run(&spec, &[vec![3u8; 64]], 512).unwrap();
+        let b = run(&mut inst, &spec, &[vec![3u8; 64]], 512).unwrap();
         assert_eq!(b.outputs[0], vec![3u8; 64]);
 
         let s = inst.stats();
@@ -286,18 +220,26 @@ mod tests {
 
     #[test]
     fn run_compiled_matches_run_and_accumulates_stats() {
+        // An instance batch is the one-shot `run_system` of the same
+        // streams at the batch's output capacity, plus the accounting.
         let spec = identity_spec();
-        let unit = CompiledUnit::new(&spec);
         let streams = [vec![1u8; 256], vec![2u8; 128]];
-        let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
 
-        let mut a = Instance::new(0, SystemConfig::f1(1024));
+        let ra = run_system(&spec, &streams, &SystemConfig::f1(512)).unwrap();
         let mut b = Instance::new(1, SystemConfig::f1(1024));
-        let ra = a.run(&spec, &streams, 512).unwrap();
-        let rb = b.run_compiled(&unit, &refs, 512).unwrap();
+        let rb = run(&mut b, &spec, &streams, 512).unwrap();
         assert_eq!(ra.cycles, rb.cycles);
         assert_eq!(ra.outputs, rb.outputs);
-        assert_eq!(a.stats(), b.stats());
+        let want = InstanceStats {
+            runs: 1,
+            failed_runs: 0,
+            busy_cycles: ra.cycles,
+            busy_seconds: ra.seconds,
+            input_bytes: ra.input_bytes,
+            output_bytes: ra.output_bytes,
+            units_run: 2,
+        };
+        assert_eq!(b.stats(), want);
     }
 
     #[test]
@@ -305,12 +247,12 @@ mod tests {
         let spec = identity_spec();
         let mut inst = Instance::new(0, SystemConfig::f1(1024));
         // Overflow: 8 KB through a 256-byte output region.
-        let err = inst.run(&spec, &[vec![9u8; 8192]], 256).unwrap_err();
+        let err = run(&mut inst, &spec, &[vec![9u8; 8192]], 256).unwrap_err();
         assert!(matches!(err, SystemError::OutputOverflow { .. }));
         assert_eq!(inst.stats().failed_runs, 1);
         assert_eq!(inst.stats().runs, 0);
         // Still usable afterwards.
-        let ok = inst.run(&spec, &[vec![5u8; 128]], 512).unwrap();
+        let ok = run(&mut inst, &spec, &[vec![5u8; 128]], 512).unwrap();
         assert_eq!(ok.outputs[0], vec![5u8; 128]);
         assert_eq!(inst.stats().runs, 1);
     }

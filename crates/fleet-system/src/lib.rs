@@ -48,8 +48,8 @@ pub use platform::{CpuPlatform, GpuPlatform, Platform};
 pub use fleet_fault::FaultPlan;
 pub use fleet_memctl::{MisalignedClose, SimPool, SimThreads};
 pub use system::{
-    run_replicated, run_system, run_system_compiled, run_system_faulted, run_system_pooled,
-    run_system_traced, RunFailure, RunReport, SystemConfig, SystemError,
+    run_replicated, run_system, run_system_compiled, run_system_faulted, run_system_traced,
+    RunFailure, RunReport, SystemConfig, SystemError,
 };
 
 /// Builds the per-channel simulation engines and stream index maps for
@@ -68,7 +68,7 @@ pub fn build_system_engines(
     Vec<fleet_memctl::ChannelEngine<fleet_compiler::PuExec>>,
     Vec<Vec<usize>>,
 ) {
-    system::build_engines_with(unit, streams, cfg, || fleet_trace::NullSink)
+    system::build_engines_with(unit, &system::StreamInit::closed(streams), cfg, || fleet_trace::NullSink)
 }
 
 /// Like [`build_system_engines`], but every engine traces into its own
@@ -83,7 +83,7 @@ pub fn build_system_engines_traced(
     Vec<fleet_memctl::ChannelEngine<fleet_compiler::PuExec, fleet_trace::CounterSink>>,
     Vec<Vec<usize>>,
 ) {
-    system::build_engines_with(unit, streams, cfg, fleet_trace::CounterSink::new)
+    system::build_engines_with(unit, &system::StreamInit::closed(streams), cfg, fleet_trace::CounterSink::new)
 }
 
 /// Splits one large input into `n` roughly equal streams at token-aligned

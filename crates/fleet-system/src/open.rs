@@ -25,11 +25,14 @@
 
 use std::sync::Arc;
 
-use fleet_axi::{DramChannel, BEAT_BYTES};
 use fleet_compiler::{CompiledUnit, PuExec};
-use fleet_memctl::{ChannelEngine, MisalignedClose, OpenStep, SimPool, StreamAssignment};
+use fleet_fault::FaultPlan;
+use fleet_memctl::{ChannelEngine, MisalignedClose, OpenStep, SimPool};
+use fleet_trace::NullSink;
 
-use crate::system::{engine_err, SystemConfig, SystemError};
+use crate::system::{
+    build_engines_with, shards_per, unit_error_to_stream, StreamInit, SystemConfig, SystemError,
+};
 
 /// How an [`OpenRun::advance`] quantum ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,22 +79,20 @@ pub struct OpenRun {
     /// Bytes already handed out by `take_output`, per stream.
     delivered: Vec<usize>,
     pool: Option<Arc<SimPool>>,
-    /// Set once an advance fails; the run is poisoned afterwards.
-    failed: bool,
+    /// The first failure of an advance; the run is poisoned afterwards.
+    failed: Option<SystemError>,
 }
 
 impl OpenRun {
     /// Builds a suspended run of `caps.len()` replicated units, one per
     /// stream, each with a reserved input region of the corresponding
-    /// capacity (rounded up to whole DRAM beats) and an output region
-    /// of `cfg.out_capacity`. Streams start empty and open; no cycle is
-    /// simulated. Mirrors the one-shot engine builder (round-robin
-    /// channel partition, input regions before output regions) so a
-    /// closed run is geometrically identical to the equivalent one-shot
-    /// batch.
+    /// capacity and an output region of `cfg.out_capacity`. Streams
+    /// start empty and open; no cycle is simulated. Built by the
+    /// one-shot engine builder, so a closed run is geometrically
+    /// identical to the equivalent one-shot batch.
     ///
-    /// Fault injection is not wired: sessions are the fault-free
-    /// serving path (`cfg.fault` is ignored).
+    /// Sessions are the fault-free serving path: the engines are built
+    /// with `cfg.fault` cleared, so an open run ignores the plan.
     ///
     /// # Panics
     ///
@@ -102,53 +103,15 @@ impl OpenRun {
         cfg: SystemConfig,
         pool: Option<Arc<SimPool>>,
     ) -> OpenRun {
-        assert!(!caps.is_empty(), "need at least one stream");
-        let spec = unit.spec();
-        let in_tok = (spec.input_token_bits as usize).div_ceil(8);
-        let out_tok = (spec.output_token_bits as usize).div_ceil(8);
-
-        let channels = cfg.platform.channels.min(caps.len());
-        let mut per_channel: Vec<Vec<(usize, usize)>> = vec![Vec::new(); channels];
-        for (i, &cap) in caps.iter().enumerate() {
-            per_channel[i % channels].push((i, cap));
-        }
-
-        let mut engines = Vec::new();
-        let mut index_maps = Vec::new();
+        let streams: Vec<StreamInit<'_>> =
+            caps.iter().map(|&reserve| StreamInit { bytes: &[], reserve, open: true }).collect();
+        let fault_free = SystemConfig { fault: FaultPlan::none(), ..cfg };
+        let (engines, index_maps) = build_engines_with(unit, &streams, &fault_free, || NullSink);
         let mut locs = vec![(0usize, 0usize); caps.len()];
-        for group in &per_channel {
-            let out_alloc =
-                cfg.out_capacity.div_ceil(BEAT_BYTES) * BEAT_BYTES + cfg.memctl.burst_bytes;
-            let mut offset = 0usize;
-            let mut in_regions = Vec::new();
-            for (_, cap) in group {
-                let alloc = cap.div_ceil(BEAT_BYTES) * BEAT_BYTES;
-                in_regions.push((offset, alloc));
-                offset += alloc;
+        for (c, map) in index_maps.iter().enumerate() {
+            for (k, &i) in map.iter().enumerate() {
+                locs[i] = (c, k);
             }
-            let out_base = offset;
-            let total = out_base + group.len() * out_alloc;
-            let dram = DramChannel::new(cfg.platform.dram, total);
-            let mut assigns = Vec::new();
-            for (k, _) in group.iter().enumerate() {
-                assigns.push(StreamAssignment {
-                    in_start: in_regions[k].0,
-                    in_len: 0,
-                    out_start: out_base + k * out_alloc,
-                    out_capacity: out_alloc,
-                });
-            }
-            let units: Vec<PuExec> = group.iter().map(|_| unit.replicate()).collect();
-            let mut engine =
-                ChannelEngine::new(cfg.memctl, dram, units, assigns, in_tok, out_tok);
-            engine.set_watchdog(cfg.watchdog_cycles);
-            let c = engines.len();
-            for (k, (orig, _)) in group.iter().enumerate() {
-                engine.set_stream_open(k, in_regions[k].0 + in_regions[k].1);
-                locs[*orig] = (c, k);
-            }
-            engines.push(engine);
-            index_maps.push(group.iter().map(|(i, _)| *i).collect::<Vec<_>>());
         }
         OpenRun {
             cfg,
@@ -158,7 +121,7 @@ impl OpenRun {
             caps: caps.to_vec(),
             delivered: vec![0; caps.len()],
             pool,
-            failed: false,
+            failed: None,
         }
     }
 
@@ -219,42 +182,24 @@ impl OpenRun {
     ///
     /// Maps engine failures exactly like one-shot runs (stream indices
     /// in submission order). A failed run is poisoned: every later
-    /// `advance` returns the same class of failure immediately.
+    /// `advance` returns the same failure immediately.
     pub fn advance(&mut self) -> Result<AdvanceReport, SystemError> {
-        if self.failed {
-            return Err(SystemError::Timeout { max_cycles: self.cfg.max_cycles });
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
         }
         let before = self.cycles();
-        let shards_per = match self.pool.as_deref() {
-            Some(pool) if pool.workers() > 1 => {
-                pool.workers().div_ceil(self.engines.len().max(1)).max(1)
-            }
-            _ => 1,
-        };
+        let pool = self.pool.as_deref();
+        let shards = shards_per(pool, self.engines.len());
         let mut status = OpenStatus::Done;
-        for (c, eng) in self.engines.iter_mut().enumerate() {
+        for (eng, map) in self.engines.iter_mut().zip(&self.index_maps) {
             let budget = self.cfg.max_cycles.saturating_sub(eng.stats().cycles);
-            let step = eng
-                .run_channel_open(budget, self.pool.as_deref(), shards_per)
-                .map_err(engine_err);
-            match step {
+            match eng.run_channel_open(budget, pool, shards) {
                 Ok(OpenStep::Done(_)) => {}
                 Ok(OpenStep::Suspended(_)) => status = OpenStatus::Suspended,
                 Err(e) => {
-                    self.failed = true;
-                    return Err(match e {
-                        SystemError::OutputOverflow { stream: unit_idx } => {
-                            SystemError::OutputOverflow {
-                                stream: self.index_maps[c].get(unit_idx).copied().unwrap_or(0),
-                            }
-                        }
-                        SystemError::UnitWedged { stream: unit_idx } => {
-                            SystemError::UnitWedged {
-                                stream: self.index_maps[c].get(unit_idx).copied().unwrap_or(0),
-                            }
-                        }
-                        other => other,
-                    });
+                    let e = unit_error_to_stream(e, map);
+                    self.failed = Some(e.clone());
+                    return Err(e);
                 }
             }
         }
@@ -322,7 +267,7 @@ impl OpenRun {
 
     /// Whether an advance failed, poisoning the run.
     pub fn is_failed(&self) -> bool {
-        self.failed
+        self.failed.is_some()
     }
 }
 
@@ -436,11 +381,102 @@ mod tests {
         run.close(0).unwrap();
         run.append(1, &[2u8; 8192]);
         run.close(1).unwrap();
-        match run.advance().unwrap_err() {
+        let first = run.advance().unwrap_err();
+        match first {
             SystemError::OutputOverflow { stream } => assert_eq!(stream, 1),
-            other => panic!("expected OutputOverflow, got {other:?}"),
+            ref other => panic!("expected OutputOverflow, got {other:?}"),
         }
         assert!(run.is_failed());
-        assert!(run.advance().is_err(), "poisoned run must keep failing");
+        // A poisoned run keeps returning the failure it recorded.
+        assert_eq!(run.advance().unwrap_err(), first);
+    }
+
+    #[test]
+    fn multi_channel_overflow_names_the_submitted_stream() {
+        // Six streams over four channels: stream 5 is unit 1 of channel
+        // 1. Only it overflows, so the shared error map must translate
+        // (channel 1, unit 1) back to submission index 5.
+        let spec = identity_spec();
+        let unit = CompiledUnit::new(&spec);
+        let mut cfg = SystemConfig::f1(64);
+        cfg.max_cycles = 10_000_000;
+        assert_eq!(cfg.platform.channels, 4);
+        let inst = Instance::new(0, cfg);
+        let caps = [64, 64, 64, 64, 64, 8192];
+        let mut run = inst.open_run(&unit, &caps, 64);
+        for (i, &cap) in caps.iter().enumerate() {
+            run.append(i, &vec![i as u8; cap]);
+            run.close(i).unwrap();
+        }
+        match run.advance().unwrap_err() {
+            SystemError::OutputOverflow { stream } => assert_eq!(stream, 5),
+            other => panic!("expected OutputOverflow, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn open_run_ignores_the_configured_fault_plan() {
+        // A plan that wedges every unit after at most 4 tokens: a
+        // one-shot batch under it cannot finish, an open run must not
+        // notice it at all.
+        let spec = identity_spec();
+        let unit = CompiledUnit::new(&spec);
+        let plan = FaultPlan::with_seed(3).wedges(1_000_000, 4);
+        assert!(plan.wedge_threshold(0).is_some(), "plan must wedge stream 0");
+        let clean = SystemConfig::f1(1024);
+        let faulty = SystemConfig { fault: plan, watchdog_cycles: 20_000, ..clean };
+        let data: Vec<u8> = (0..600u32).map(|x| (x * 5 + 1) as u8).collect();
+        assert!(matches!(
+            run_system_compiled(&unit, &[&data], &faulty),
+            Err(SystemError::UnitWedged { stream: 0 })
+        ));
+
+        let finish = |cfg: SystemConfig| {
+            let mut run = Instance::new(0, cfg).open_run(&unit, &[data.len()], 1024);
+            run.append(0, &data);
+            run.close(0).unwrap();
+            let rep = run.advance().unwrap();
+            assert_eq!(rep.status, OpenStatus::Done);
+            (rep.cycles, run.full_output(0))
+        };
+        let want = finish(clean);
+        assert_eq!(want.1, data);
+        assert_eq!(finish(faulty), want);
+    }
+
+    #[test]
+    fn closed_open_run_has_the_one_shot_geometry() {
+        // One builder behind both: after every stream is appended and
+        // closed, each channel's engines place every unit exactly where
+        // the one-shot builder does, whether the stream count is below,
+        // at, or above the channel count.
+        let spec = identity_spec();
+        let unit = CompiledUnit::new(&spec);
+        let cfg = SystemConfig::f1(512);
+        for n in [1usize, 3, 4, 9] {
+            let streams: Vec<Vec<u8>> =
+                (0..n).map(|s| vec![s as u8; 100 + 77 * s]).collect();
+            let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
+            let (oneshot, maps) = crate::build_system_engines(&unit, &refs, &cfg);
+
+            let caps: Vec<usize> = streams.iter().map(|s| s.len()).collect();
+            let mut run = Instance::new(0, cfg).open_run(&unit, &caps, 512);
+            for (i, s) in streams.iter().enumerate() {
+                run.append(i, s);
+                run.close(i).unwrap();
+            }
+            assert_eq!(run.index_maps, maps, "{n} streams");
+            assert_eq!(run.engines.len(), oneshot.len(), "{n} streams");
+            for (c, (open, shot)) in run.engines.iter().zip(&oneshot).enumerate() {
+                assert_eq!(open.len(), shot.len(), "{n} streams, channel {c}");
+                for k in 0..open.len() {
+                    assert_eq!(
+                        open.assignment(k),
+                        shot.assignment(k),
+                        "{n} streams, channel {c}, unit {k}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@ use fleet_compiler::{CompiledUnit, PuExec};
 use fleet_fault::FaultPlan;
 use fleet_lang::UnitSpec;
 use fleet_memctl::{
-    ChannelEngine, EngineRunError, EngineStats, MemCtlConfig, SimPool, SimThreads,
+    panic_message, ChannelEngine, EngineRunError, EngineStats, MemCtlConfig, SimPool, SimThreads,
     StreamAssignment, StreamUnit,
 };
 use fleet_trace::{CounterSink, NullSink, TraceReport, TraceSink};
@@ -27,10 +27,11 @@ pub struct SystemConfig {
     pub out_capacity: usize,
     /// Hang guard per channel.
     pub max_cycles: u64,
-    /// Simulation thread budget. `Auto` uses the host's available
-    /// parallelism; `Fixed(1)` selects the exact serial path. Every
-    /// setting produces bit-identical results — threads only change
-    /// wall-clock time.
+    /// Simulation thread budget. `Fixed(1)` — the [`SystemConfig::f1`]
+    /// default, and the faster drive wherever it has been measured
+    /// (EXPERIMENTS S3) — selects the serial drive; `Auto` uses the
+    /// host's available parallelism. Every setting produces
+    /// bit-identical results — threads only change wall-clock time.
     pub sim_threads: SimThreads,
     /// Seeded fault-injection plan. The default ([`FaultPlan::none`])
     /// is inert: the injection hooks stay disabled and the run is
@@ -54,7 +55,7 @@ impl SystemConfig {
             memctl: MemCtlConfig::default(),
             out_capacity,
             max_cycles: 2_000_000_000,
-            sim_threads: SimThreads::Auto,
+            sim_threads: SimThreads::Fixed(1),
             fault: FaultPlan::none(),
             // 1M cycles = 8 ms at the F1 clock: orders of magnitude
             // above any legitimate stall (refresh blackouts are tens of
@@ -65,7 +66,7 @@ impl SystemConfig {
 }
 
 /// Failures of a full-system run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SystemError {
     /// A unit produced more output than its region capacity.
     OutputOverflow {
@@ -209,23 +210,13 @@ pub fn run_system(
 ) -> Result<RunReport, SystemError> {
     let unit = CompiledUnit::new(spec);
     let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-    run_system_compiled_with(&unit, &refs, cfg, None)
+    run_system_compiled(&unit, &refs, cfg)
 }
 
-/// Builds a pool for one run when `cfg.sim_threads` resolves to more
-/// than one worker (and no shared pool was supplied).
-fn auto_pool(cfg: &SystemConfig) -> Option<SimPool> {
-    if cfg.sim_threads.resolve() > 1 {
-        Some(SimPool::new(cfg.sim_threads))
-    } else {
-        None
-    }
-}
-
-/// Like [`run_system_compiled`], but simulating on an existing shared
-/// [`SimPool`] instead of spawning one per run — the hot path for
-/// serving runtimes that keep one process-wide pool so concurrent
-/// batches never oversubscribe the host's cores.
+/// Like [`run_system`], but takes a pre-compiled unit and borrowed
+/// streams: the program is validated and compiled exactly once no
+/// matter how many replicas run, and no stream bytes are copied into
+/// the call.
 ///
 /// # Errors
 ///
@@ -234,35 +225,20 @@ fn auto_pool(cfg: &SystemConfig) -> Option<SimPool> {
 /// # Panics
 ///
 /// Panics if a stream is not a whole number of input tokens.
-pub fn run_system_pooled(
+pub fn run_system_compiled(
     unit: &CompiledUnit,
     streams: &[&[u8]],
     cfg: &SystemConfig,
-    pool: &SimPool,
 ) -> Result<RunReport, SystemError> {
-    run_system_compiled_with(unit, streams, cfg, Some(pool))
+    run_system_faulted(unit, streams, cfg, None).map_err(|f| f.error)
 }
 
-/// Shared untraced entry: uses `pool` when given, otherwise spawns one
-/// per [`SystemConfig::sim_threads`] for the duration of the run.
-pub(crate) fn run_system_compiled_with(
-    unit: &CompiledUnit,
-    streams: &[&[u8]],
-    cfg: &SystemConfig,
-    pool: Option<&SimPool>,
-) -> Result<RunReport, SystemError> {
-    let owned = if pool.is_none() { auto_pool(cfg) } else { None };
-    let pool = pool.or(owned.as_ref());
-    let (report, _engines, _maps) =
-        run_system_inner(unit, streams, cfg, pool, || NullSink).map_err(|f| f.error)?;
-    Ok(report)
-}
-
-/// Like [`run_system_compiled`] (with an optional shared pool), but a
-/// failure returns the full [`RunFailure`] — typed error, per-stream
-/// partial results, cycles burned — instead of collapsing to a bare
-/// [`SystemError`]. The entry point for serving layers that retry,
-/// salvage, and quarantine.
+/// Like [`run_system_compiled`], but simulating on `pool` when one is
+/// given (serving runtimes keep one process-wide pool so concurrent
+/// batches never oversubscribe the host's cores), and a failure returns
+/// the full [`RunFailure`] — typed error, per-stream partial results,
+/// cycles burned — instead of collapsing to a bare [`SystemError`]. The
+/// entry point for serving layers that retry, salvage, and quarantine.
 ///
 /// # Errors
 ///
@@ -278,31 +254,8 @@ pub fn run_system_faulted(
     cfg: &SystemConfig,
     pool: Option<&SimPool>,
 ) -> Result<RunReport, Box<RunFailure>> {
-    let owned = if pool.is_none() { auto_pool(cfg) } else { None };
-    let pool = pool.or(owned.as_ref());
     let (report, _engines, _maps) = run_system_inner(unit, streams, cfg, pool, || NullSink)?;
     Ok(report)
-}
-
-/// Like [`run_system`], but takes a pre-compiled unit and borrowed
-/// streams: the program is validated and compiled exactly once no
-/// matter how many replicas run, and no stream bytes are copied into
-/// the call. This is the hot path for batch serving, where the same
-/// spec runs back to back against many stream sets.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_system`].
-///
-/// # Panics
-///
-/// Panics if a stream is not a whole number of input tokens.
-pub fn run_system_compiled(
-    unit: &CompiledUnit,
-    streams: &[&[u8]],
-    cfg: &SystemConfig,
-) -> Result<RunReport, SystemError> {
-    run_system_compiled_with(unit, streams, cfg, None)
 }
 
 /// Like [`run_system`], but every channel engine records into a
@@ -322,23 +275,10 @@ pub fn run_system_traced(
     streams: &[Vec<u8>],
     cfg: &SystemConfig,
 ) -> Result<RunReport, SystemError> {
-    run_system_traced_with(spec, streams, cfg, None)
-}
-
-/// Traced entry with an optional shared pool (see
-/// [`run_system_pooled`]).
-pub(crate) fn run_system_traced_with(
-    spec: &UnitSpec,
-    streams: &[Vec<u8>],
-    cfg: &SystemConfig,
-    pool: Option<&SimPool>,
-) -> Result<RunReport, SystemError> {
     let unit = CompiledUnit::new(spec);
     let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-    let owned = if pool.is_none() { auto_pool(cfg) } else { None };
-    let pool = pool.or(owned.as_ref());
     let (mut report, engines, index_maps) =
-        run_system_inner(&unit, &refs, cfg, pool, CounterSink::new).map_err(|f| f.error)?;
+        run_system_inner(&unit, &refs, cfg, None, CounterSink::new).map_err(|f| f.error)?;
     let channels = engines
         .iter()
         .zip(&index_maps)
@@ -348,16 +288,40 @@ pub(crate) fn run_system_traced_with(
     Ok(report)
 }
 
+/// One stream as the engine builder places it: the bytes present before
+/// the first cycle, the size of the input region reserved for it, and
+/// whether it stays open for appends.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StreamInit<'a> {
+    /// Bytes loaded into the region up front.
+    pub(crate) bytes: &'a [u8],
+    /// Input region size in bytes (rounded up to whole DRAM beats).
+    pub(crate) reserve: usize,
+    /// Open-ended stream (session mode): more bytes may be appended, up
+    /// to `reserve`.
+    pub(crate) open: bool,
+}
+
+impl<'a> StreamInit<'a> {
+    /// One-shot streams: the region holds exactly the bytes given.
+    pub(crate) fn closed(streams: &[&'a [u8]]) -> Vec<StreamInit<'a>> {
+        streams.iter().map(|s| StreamInit { bytes: s, reserve: s.len(), open: false }).collect()
+    }
+}
+
 /// Builds the per-channel engines and stream index maps for `streams`,
-/// replicated from `unit`, without running anything.
+/// replicated from `unit`, without running anything: streams divided
+/// round-robin among channels, each channel's input regions laid out
+/// before its output regions. The one builder behind one-shot runs,
+/// [`OpenRun`](crate::OpenRun)s and the tick-by-tick harnesses, so a
+/// closed open run is geometrically identical to the equivalent
+/// one-shot batch.
 ///
 /// `maps[c][k]` is the submission-order stream index that unit `k` of
-/// channel `c` processes. Exposed (via
-/// [`build_system_engines`](crate::build_system_engines)) so benchmark
-/// harnesses can drive the engines tick by tick.
+/// channel `c` processes.
 pub(crate) fn build_engines_with<S: TraceSink>(
     unit: &CompiledUnit,
-    streams: &[&[u8]],
+    streams: &[StreamInit<'_>],
     cfg: &SystemConfig,
     mut make_sink: impl FnMut() -> S,
 ) -> (Vec<ChannelEngine<PuExec, S>>, Vec<Vec<usize>>) {
@@ -365,49 +329,48 @@ pub(crate) fn build_engines_with<S: TraceSink>(
     let spec = unit.spec();
     let in_tok = (spec.input_token_bits as usize).div_ceil(8);
     let out_tok = (spec.output_token_bits as usize).div_ceil(8);
+    let out_alloc = cfg.out_capacity.div_ceil(BEAT_BYTES) * BEAT_BYTES + cfg.memctl.burst_bytes;
 
     // Partition streams round-robin across channels.
     let channels = cfg.platform.channels.min(streams.len());
-    let mut per_channel: Vec<Vec<(usize, &[u8])>> = vec![Vec::new(); channels];
-    for (i, s) in streams.iter().enumerate() {
-        per_channel[i % channels].push((i, s));
+    let mut index_maps: Vec<Vec<usize>> = vec![Vec::new(); channels];
+    for i in 0..streams.len() {
+        index_maps[i % channels].push(i);
     }
 
     // Build one engine per channel.
     let mut engines = Vec::new();
-    let mut index_maps = Vec::new();
-    for group in &per_channel {
-        let mut assigns = Vec::new();
-        let mut offset = 0usize;
-        let out_alloc =
-            cfg.out_capacity.div_ceil(BEAT_BYTES) * BEAT_BYTES + cfg.memctl.burst_bytes;
+    for (c, map) in index_maps.iter().enumerate() {
         // Input regions first, then output regions.
-        let mut in_starts = Vec::new();
-        for (_, s) in group {
-            in_starts.push(offset);
-            offset += s.len().div_ceil(BEAT_BYTES) * BEAT_BYTES;
+        let mut in_regions = Vec::new();
+        let mut offset = 0usize;
+        for &i in map {
+            let alloc = streams[i].reserve.div_ceil(BEAT_BYTES) * BEAT_BYTES;
+            in_regions.push((offset, alloc));
+            offset += alloc;
         }
         let out_base = offset;
-        let total = out_base + group.len() * out_alloc;
-        let mut dram = DramChannel::new(cfg.platform.dram, total);
+        let mut dram = DramChannel::new(cfg.platform.dram, out_base + map.len() * out_alloc);
         if !cfg.fault.is_none() {
             // Channel faults are keyed by channel index; wedges (below)
             // by submission-order stream index, so the same plan faults
             // the same streams no matter how they partition.
-            dram.set_faults(cfg.fault.dram(engines.len() as u64));
+            dram.set_faults(cfg.fault.dram(c as u64));
         }
-        for (k, (_, s)) in group.iter().enumerate() {
-            dram.mem_mut()[in_starts[k]..in_starts[k] + s.len()].copy_from_slice(s);
+        let mut assigns = Vec::new();
+        for (k, &i) in map.iter().enumerate() {
+            let (in_start, bytes) = (in_regions[k].0, streams[i].bytes);
+            dram.mem_mut()[in_start..in_start + bytes.len()].copy_from_slice(bytes);
             assigns.push(StreamAssignment {
-                in_start: in_starts[k],
-                in_len: s.len(),
+                in_start,
+                in_len: bytes.len(),
                 out_start: out_base + k * out_alloc,
                 out_capacity: out_alloc,
             });
         }
         // Replicate the shared compiled program — no per-replica
         // validation or SSA rebuild.
-        let units: Vec<PuExec> = group.iter().map(|_| unit.replicate()).collect();
+        let units: Vec<PuExec> = map.iter().map(|_| unit.replicate()).collect();
         let mut engine = ChannelEngine::with_sink(
             cfg.memctl,
             dram,
@@ -418,23 +381,25 @@ pub(crate) fn build_engines_with<S: TraceSink>(
             make_sink(),
         );
         engine.set_watchdog(cfg.watchdog_cycles);
-        if !cfg.fault.is_none() {
-            for (k, (orig, _)) in group.iter().enumerate() {
-                if let Some(tokens) = cfg.fault.wedge_threshold(*orig as u64) {
-                    engine.set_wedge(k, tokens);
-                }
+        for (k, &i) in map.iter().enumerate() {
+            if streams[i].open {
+                engine.set_stream_open(k, in_regions[k].0 + in_regions[k].1);
+            }
+            if let Some(tokens) = cfg.fault.wedge_threshold(i as u64) {
+                engine.set_wedge(k, tokens);
             }
         }
         engines.push(engine);
-        index_maps.push(group.iter().map(|(i, _)| *i).collect::<Vec<_>>());
     }
     (engines, index_maps)
 }
 
 /// Shared runner: builds one engine per channel (tracing into a sink
-/// from `make_sink`), drives them in parallel, and assembles the
-/// report. Returns the engines and stream index maps so traced callers
-/// can extract sink data.
+/// from `make_sink`), drives them in parallel — on `pool` when given,
+/// else on a pool of its own when [`SystemConfig::sim_threads`]
+/// resolves to more than one worker — and assembles the report. Returns
+/// the engines and stream index maps so traced callers can extract sink
+/// data.
 type InnerRun<S> = (RunReport, Vec<ChannelEngine<PuExec, S>>, Vec<Vec<usize>>);
 
 fn run_system_inner<S: TraceSink + Send>(
@@ -444,37 +409,18 @@ fn run_system_inner<S: TraceSink + Send>(
     pool: Option<&SimPool>,
     make_sink: impl FnMut() -> S,
 ) -> Result<InnerRun<S>, Box<RunFailure>> {
-    let (mut engines, index_maps) = build_engines_with(unit, streams, cfg, make_sink);
+    let owned = (pool.is_none() && cfg.sim_threads.resolve() > 1)
+        .then(|| SimPool::new(cfg.sim_threads));
+    let pool = pool.or(owned.as_ref());
+    let (mut engines, index_maps) =
+        build_engines_with(unit, &StreamInit::closed(streams), cfg, make_sink);
 
     // Run every channel to completion, in parallel.
-    let results = drive_channels(&mut engines, cfg.max_cycles, pool);
+    let results = drive_channels(&mut engines, &index_maps, cfg.max_cycles, pool);
 
-    // First failure in channel index order (deterministic), with
-    // channel-local unit indices mapped back to submitted streams.
-    let mut cycles = 0u64;
-    let mut first_err: Option<SystemError> = None;
-    for (c, r) in results.iter().enumerate() {
-        match r {
-            Ok(n) => cycles = cycles.max(*n),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(match e {
-                        SystemError::OutputOverflow { stream: unit_idx } => {
-                            SystemError::OutputOverflow {
-                                stream: index_maps[c].get(*unit_idx).copied().unwrap_or(0),
-                            }
-                        }
-                        SystemError::UnitWedged { stream: unit_idx } => {
-                            SystemError::UnitWedged {
-                                stream: index_maps[c].get(*unit_idx).copied().unwrap_or(0),
-                            }
-                        }
-                        other => other.clone(),
-                    });
-                }
-            }
-        }
-    }
+    // First failure in channel index order (deterministic).
+    let cycles = results.iter().flatten().copied().max().unwrap_or(0);
+    let first_err = results.iter().find_map(|r| r.as_ref().err());
 
     let faults_injected: u64 = engines
         .iter()
@@ -498,7 +444,7 @@ fn run_system_inner<S: TraceSink + Send>(
             }
         }
         return Err(Box::new(RunFailure {
-            error,
+            error: error.clone(),
             partial_outputs,
             cycles: run_cycles,
             seconds: cfg.platform.seconds(run_cycles),
@@ -534,32 +480,30 @@ fn run_system_inner<S: TraceSink + Send>(
     Ok((report, engines, index_maps))
 }
 
-/// Renders a caught panic payload for [`SystemError::WorkerPanic`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Maps a channel-level run error to a [`SystemError`]. Overflow keeps
-/// the channel-local unit index; the caller maps it back to a stream id
-/// via its index maps.
-pub(crate) fn engine_err(e: EngineRunError) -> SystemError {
+/// Maps a channel-level run error to a [`SystemError`], translating the
+/// channel-local unit index to the submission-order stream index
+/// through that channel's `index_map`.
+pub(crate) fn unit_error_to_stream(e: EngineRunError, index_map: &[usize]) -> SystemError {
     match e {
-        EngineRunError::Overflow { unit } => SystemError::OutputOverflow { stream: unit },
+        EngineRunError::Overflow { unit } => SystemError::OutputOverflow { stream: index_map[unit] },
         EngineRunError::Timeout { max_cycles } => SystemError::Timeout { max_cycles },
-        EngineRunError::Wedged { unit } => SystemError::UnitWedged { stream: unit },
+        EngineRunError::Wedged { unit } => SystemError::UnitWedged { stream: index_map[unit] },
         EngineRunError::Stalled { idle_cycles } => SystemError::ChannelStalled { idle_cycles },
     }
 }
 
+/// How many shards each of `channels` engines may split a cycle's
+/// PU-evaluation phase into: the pool's workers spread over the
+/// channels, at least one each (one shard = the serial drive;
+/// `run_channel` further clamps to its unit count).
+pub(crate) fn shards_per(pool: Option<&SimPool>, channels: usize) -> usize {
+    pool.map_or(1, |pool| pool.workers().div_ceil(channels))
+}
+
 /// Drives every engine to completion in parallel and collects one
-/// result per channel. A panic on a channel coordinator thread (or in a
-/// shard job it dispatched) is caught at the join and surfaced as
+/// result per channel, unit indices already mapped to streams through
+/// `index_maps`. A panic on a channel coordinator thread (or in a shard
+/// job it dispatched) is caught at the join and surfaced as
 /// [`SystemError::WorkerPanic`] for that channel instead of propagating
 /// and aborting the caller.
 ///
@@ -575,6 +519,7 @@ pub(crate) fn engine_err(e: EngineRunError) -> SystemError {
 ///   flight is bounded by the pool regardless of channel count.
 fn drive_channels<U, S>(
     engines: &mut [ChannelEngine<U, S>],
+    index_maps: &[Vec<usize>],
     max_cycles: u64,
     pool: Option<&SimPool>,
 ) -> Vec<Result<u64, SystemError>>
@@ -582,21 +527,15 @@ where
     U: StreamUnit + Send + 'static,
     S: TraceSink + Send,
 {
-    // Spread pool workers over the channels; each channel gets at least
-    // one shard (= the serial fast path). `run_channel` further clamps
-    // shard count to its unit count.
-    let shards_per = match pool {
-        Some(pool) if pool.workers() > 1 => {
-            pool.workers().div_ceil(engines.len().max(1)).max(1)
-        }
-        _ => 1,
-    };
+    let shards = shards_per(pool, engines.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = engines
             .iter_mut()
-            .map(|eng| {
+            .zip(index_maps)
+            .map(|(eng, map)| {
                 scope.spawn(move || {
-                    eng.run_channel(max_cycles, pool, shards_per).map_err(engine_err)
+                    eng.run_channel(max_cycles, pool, shards)
+                        .map_err(|e| unit_error_to_stream(e, map))
                 })
             })
             .collect();
@@ -712,7 +651,7 @@ mod tests {
         let serial = run_system_compiled(&unit, &refs, &cfg).unwrap();
         for threads in [2usize, 3, 8] {
             let pool = SimPool::new(SimThreads::Fixed(threads));
-            let pooled = run_system_pooled(&unit, &refs, &cfg, &pool).unwrap();
+            let pooled = run_system_faulted(&unit, &refs, &cfg, Some(&pool)).unwrap();
             assert_eq!(serial.cycles, pooled.cycles, "{threads} threads");
             assert_eq!(serial.outputs, pooled.outputs, "{threads} threads");
             assert_eq!(serial.channel_stats, pooled.channel_stats, "{threads} threads");
@@ -751,8 +690,9 @@ mod tests {
             )]
         };
 
+        let maps = [vec![0, 1]];
         let mut engines = build();
-        let results = drive_channels(&mut engines, 1_000_000, None);
+        let results = drive_channels(&mut engines, &maps, 1_000_000, None);
         match &results[0] {
             Err(SystemError::WorkerPanic { message }) => {
                 assert!(message.contains("injected PU panic"), "message: {message}");
@@ -765,7 +705,7 @@ mod tests {
         // poison only this channel's result — the pool itself survives.
         let pool = SimPool::new(SimThreads::Fixed(2));
         let mut engines = build();
-        let results = drive_channels(&mut engines, 1_000_000, Some(&pool));
+        let results = drive_channels(&mut engines, &maps, 1_000_000, Some(&pool));
         match &results[0] {
             Err(SystemError::WorkerPanic { message }) => {
                 assert!(message.contains("injected PU panic"), "pooled message: {message}");

@@ -2,8 +2,9 @@
 //! platform (units + memory controllers + DRAM on all four channels),
 //! outputs compared to the golden reference stream by stream.
 
-use fleet_apps::{App, AppKind};
-use fleet_system::{run_system, SystemConfig};
+use fleet_apps::{micro, App, AppKind};
+use fleet_compiler::CompiledUnit;
+use fleet_system::{build_system_engines, run_system, SystemConfig};
 
 #[test]
 fn every_app_survives_the_full_memory_system() {
@@ -79,4 +80,45 @@ fn single_stream_single_unit_works() {
     let report =
         run_system(&spec, std::slice::from_ref(&stream), &SystemConfig::f1(4096)).expect("run");
     assert_eq!(report.outputs[0], app.golden(&stream));
+}
+
+#[test]
+fn run_channel_equals_a_manual_tick_loop() {
+    // The one run loop adds the event-driven clock, the budget and the
+    // watchdog around `tick()`; none of that may show, on a unit that
+    // emits every token (Identity) or one that emits only at end of
+    // stream (Bloom). Both runs skip cycles a manual loop ticks through.
+    let bloom = App::new(AppKind::Bloom);
+    let cases = [
+        (micro::identity(), (0..9u8).map(|p| vec![p; 700 + 90 * p as usize]).collect::<Vec<_>>(), 2048),
+        (
+            bloom.spec(),
+            (0..9).map(|p| bloom.gen_stream(p, 2048)).collect(),
+            bloom.out_capacity(4096),
+        ),
+    ];
+    for (spec, streams, out_cap) in cases {
+        let unit = CompiledUnit::new(&spec);
+        let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
+        let cfg = SystemConfig::f1(out_cap);
+        let (mut driven, _) = build_system_engines(&unit, &refs, &cfg);
+        let (mut ticked, _) = build_system_engines(&unit, &refs, &cfg);
+        for (c, (d, t)) in driven.iter_mut().zip(&mut ticked).enumerate() {
+            let cycles = d.run_channel(cfg.max_cycles, None, 1).expect("run_channel");
+            while !t.done() {
+                t.tick();
+            }
+            assert!(d.cycles_skipped() > 0 && t.cycles_skipped() == 0, "{}: channel {c}", spec.name);
+            assert_eq!(cycles, t.stats().cycles, "{}: channel {c} cycles", spec.name);
+            assert_eq!(d.stats(), t.stats(), "{}: channel {c} stats", spec.name);
+            for p in 0..d.len() {
+                assert_eq!(
+                    d.output_bytes(p),
+                    t.output_bytes(p),
+                    "{}: channel {c} unit {p} output",
+                    spec.name
+                );
+            }
+        }
+    }
 }

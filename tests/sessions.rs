@@ -13,7 +13,7 @@ use fleet_apps::{App, AppKind};
 use fleet_compiler::CompiledUnit;
 use fleet_host::arrival::{Arrival, SessionOpen};
 use fleet_host::{Host, HostConfig, MixedArrivals, Session, SessionConfig};
-use fleet_system::{Instance, SimThreads, SystemConfig};
+use fleet_system::{run_system, Instance, SimThreads, SystemConfig};
 use proptest::prelude::*;
 
 const APPS: [AppKind; 6] = [
@@ -65,9 +65,7 @@ fn assert_chunking_invisible(
     let app = App::new(kind);
     let spec = Arc::new(app.spec());
 
-    let mut one = Instance::new(0, sys_cfg(threads));
-    let report = one
-        .run(&spec, std::slice::from_ref(&stream.to_vec()), 1 << 16)
+    let report = run_system(&spec, std::slice::from_ref(&stream.to_vec()), &sys_cfg(threads))
         .expect("one-shot run");
 
     let cfg = SessionConfig {
@@ -155,9 +153,7 @@ fn host_served_sessions_deliver_one_shot_bytes_on_every_app() {
         let token = (spec.input_token_bits as usize / 8).max(1);
         let stream = aligned_stream(&app, token, 0xCAFE ^ kind as u64, 900);
 
-        let mut one = Instance::new(0, sys_cfg(1));
-        let want = one
-            .run(&spec, std::slice::from_ref(&stream), 1 << 16)
+        let want = run_system(&spec, std::slice::from_ref(&stream), &sys_cfg(1))
             .expect("one-shot run")
             .outputs
             .remove(0);
