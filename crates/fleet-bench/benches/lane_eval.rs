@@ -1,10 +1,12 @@
 //! Criterion microbench of the SIMD evaluation plane: one
 //! `PackedProg::eval_lanes` sweep at lane widths 1 to 64 versus the
 //! equivalent scalar `PackedProg::eval` per lane, across all six paper
-//! apps; the narrow `eval_lanes32` plane on two apps that admit it; and
-//! a whole `PuExecBatch::retire` (instruction sweep + guarded-op walk
-//! committing into the units) plus the units' fused clock step, which
-//! is what one engine cycle pays per lane group. This is the
+//! apps; the narrow `eval_lanes32` plane on two apps that admit it (both
+//! staging every lane's state rows, then sweeping); and a resident lane
+//! group's whole `PuExecBatch::retire` (instruction sweep over the rows
+//! the lanes keep between cycles + guarded-op walk committing them) plus
+//! the units' fused clock step, which is what one engine cycle pays per
+//! lane group. This is the
 //! layer the engine's lane-batched pre-evaluation phase (`simperf`'s
 //! headline path) stands on; the differential tests in
 //! `fleet-isim`/`fleet-compiler` pin the paths bit-equal, this bench
@@ -155,15 +157,31 @@ fn relatch(pu: &mut PuExec, tokens: &[u64], pos: &mut usize) {
     }
 }
 
-/// One engine cycle's worth of PU work for a lane group, as
-/// `lane_preeval` + `eval_unit` run it: `PuExecBatch::retire` over
-/// replicas that each hold a latched token from their own stream (the
-/// instruction sweep on whichever plane the unit admits, then the
-/// guarded-op walk committing straight into each unit), then every
-/// unit's fused `clock_retired` step. `stalled_half` back-pressures
-/// every other lane, which then takes the column-walk fallback and a
-/// `StallOut` `comb`/`clock`. Tokens are re-latched between iterations
-/// outside the timed section.
+/// Untimed: every resident unit left without pending work (a
+/// back-pressured lane) leaves, catches up on the scalar path until it
+/// holds a latched token again, and rejoins.
+fn settle(group: &mut PuExecBatch, pus: &mut [PuExec], streams: &[Vec<u64>], pos: &mut [usize]) {
+    let mut leaving = group.leaving();
+    while leaving != 0 {
+        let l = 63 - leaving.leading_zeros() as usize;
+        leaving &= !(1 << l);
+        let u = group.ids()[l];
+        group.leave(l, &mut pus[u]);
+        relatch(&mut pus[u], &streams[u], &mut pos[u]);
+        group.join(&mut pus[u], u);
+    }
+}
+
+/// One engine cycle's worth of PU work for a resident lane group, as
+/// `lane_preeval` + `eval_unit` run it: the replicas join a group once,
+/// then each iteration times `PuExecBatch::retire` (the instruction
+/// sweep over the resident rows on whichever plane the unit admits, then
+/// the guarded-op walk committing each retiring lane) and every unit's
+/// fused `clock_retired` step, which latches the stream's next token so
+/// the lane stays resident. `stalled_half` back-pressures every other
+/// lane, which then walks its column and takes a `StallOut`
+/// `comb`/`clock`; such lanes leave, catch up and rejoin between
+/// iterations, outside the timed section.
 fn bench_batch_retire(c: &mut Criterion) {
     for kind in AppKind::all() {
         let app = App::new(kind);
@@ -184,24 +202,30 @@ fn bench_batch_retire(c: &mut Criterion) {
             g.throughput(Throughput::Elements(width as u64));
             let mut pus: Vec<PuExec> = (0..width).map(|_| unit.replicate()).collect();
             let mut pos = vec![0usize; width];
-            let mut batch = PuExecBatch::for_unit(&pus[0], width);
+            let mut group = PuExecBatch::for_unit(&pus[0], width);
+            for (u, pu) in pus.iter_mut().enumerate() {
+                relatch(pu, &streams[u], &mut pos[u]);
+                group.join(pu, u);
+            }
             g.bench_function(id, |b| {
                 b.iter_custom(|iters| {
                     let mut took = Duration::ZERO;
                     for _ in 0..iters {
-                        for (l, pu) in pus.iter_mut().enumerate() {
-                            relatch(pu, &streams[l], &mut pos[l]);
-                        }
+                        settle(&mut group, &mut pus, &streams, &mut pos);
                         let start = Instant::now();
-                        let mut lanes: [Option<&mut PuExec>; MAX_LANES] = [const { None }; MAX_LANES];
-                        for (slot, pu) in lanes.iter_mut().zip(pus.iter_mut()) {
-                            *slot = Some(pu);
-                        }
-                        batch.retire(&mut lanes[..width], ready);
-                        for (l, pu) in pus.iter_mut().enumerate() {
-                            let pins =
-                                PuIn { output_ready: (ready >> l) & 1 != 0, ..PuIn::default() };
-                            let out = pu.clock_retired(&pins).unwrap_or_else(|| pu.tick(&pins));
+                        group.retire(ready);
+                        for lane in 0..width {
+                            let u = group.ids()[lane];
+                            let toks = &streams[u];
+                            let pins = PuIn {
+                                input_token: toks[pos[u] % toks.len()],
+                                input_valid: true,
+                                input_finished: false,
+                                output_ready: (ready >> lane) & 1 != 0,
+                            };
+                            let pu = &mut pus[u];
+                            let out = pu.clock_retired(&mut group, lane, &pins).unwrap_or_else(|| pu.tick(&pins));
+                            pos[u] += usize::from(out.input_ready);
                             std::hint::black_box(out);
                         }
                         took += start.elapsed();

@@ -9,9 +9,9 @@
 //! states (each the same bounded WFQ queue + online predictor +
 //! instance pool the single-host [`fleet_host::Host`] uses) and serves
 //! a [`JobSource`] arrival stream to completion as a discrete-event
-//! simulation. See the [`cluster`] module docs for the routing,
-//! autoscaling, and failover models, and [`report`] for the emitted
-//! JSON.
+//! simulation. The routing, autoscaling, and failover models are
+//! documented on the `cluster` module in the source, and the emitted
+//! JSON on [`ClusterReport`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -41,6 +41,17 @@ pub enum SimError {
         /// Virtual cycle number.
         vcycle: u64,
     },
+    /// Two writes with different values to one vector-register element
+    /// executed in the same virtual cycle (the vector-register form of
+    /// [`SimError::ConflictingRegWrites`]).
+    ConflictingVecRegWrites {
+        /// Vector register index within the unit.
+        vec_reg: usize,
+        /// The element both writes addressed.
+        index: usize,
+        /// Virtual cycle number.
+        vcycle: u64,
+    },
     /// A vector-register read or write used an out-of-range index.
     VecRegIndexOutOfRange {
         /// Vector register index within the unit.
@@ -84,6 +95,11 @@ impl fmt::Display for SimError {
             SimError::ConflictingRegWrites { reg, vcycle } => write!(
                 f,
                 "virtual cycle {vcycle}: register {reg} assigned two different values"
+            ),
+            SimError::ConflictingVecRegWrites { vec_reg, index, vcycle } => write!(
+                f,
+                "virtual cycle {vcycle}: element {index} of vector register {vec_reg} \
+                 assigned two different values"
             ),
             SimError::VecRegIndexOutOfRange { vec_reg, index, elements } => write!(
                 f,

@@ -145,7 +145,18 @@ impl Interpreter {
                         });
                     }
                     let val = mask(ctx.eval(v)?, vr.width());
-                    pending.vec_regs.push((vr.index(), idx, val));
+                    let same = |&&(w, e, _): &&(usize, usize, u64)| w == vr.index() && e == idx;
+                    match pending.vec_regs.iter().find(same) {
+                        Some(&(_, _, prev)) if prev != val => {
+                            return Err(SimError::ConflictingVecRegWrites {
+                                vec_reg: vr.index(),
+                                index: idx,
+                                vcycle: self.vcycles,
+                            });
+                        }
+                        Some(_) => {}
+                        None => pending.vec_regs.push((vr.index(), idx, val)),
+                    }
                 }
                 OpKind::BramWrite(b, a, v) => {
                     let addr = mask(ctx.eval(a)?, b.addr_width());
@@ -374,6 +385,28 @@ mod tests {
         let spec = u.build().unwrap();
         let err = Interpreter::run_tokens(&spec, &[0]).unwrap_err();
         assert!(matches!(err, SimError::ConflictingRegWrites { .. }));
+    }
+
+    #[test]
+    fn conflicting_vec_reg_writes_detected() {
+        // Two writes to one element: the hardware keeps the first, so a
+        // last-write commit would disagree — different values are
+        // rejected, equal ones (and different elements) are fine.
+        let mut u = UnitBuilder::new("VecConflict", 8, 8);
+        let v = u.vec_reg("v", 4, 8, 0);
+        let input = u.input();
+        let nf = u.stream_finished().not_b();
+        u.if_(nf, |u| {
+            u.set_vec(v, input.slice(1, 0), lit(1, 8));
+            u.set_vec(v, input.slice(3, 2), lit(2, 8));
+            u.set_vec(v, input.slice(5, 4), lit(2, 8));
+        });
+        let spec = u.build().unwrap();
+        // Token bits [1:0], [3:2], [5:4] pick the three elements.
+        assert!(Interpreter::run_tokens(&spec, &[0b10_01_00]).is_ok());
+        assert!(Interpreter::run_tokens(&spec, &[0b01_01_00]).is_ok());
+        let err = Interpreter::run_tokens(&spec, &[0b10_00_00]).unwrap_err();
+        assert!(matches!(err, SimError::ConflictingVecRegWrites { vec_reg: 0, index: 0, .. }));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! reads select element 0 (the compiled mux chain's default), and
 //! multiple writes resolve by first-guard-wins priority in the consumer.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use fleet_lang::{
@@ -354,10 +355,12 @@ impl SsaProg {
     ///   operation, guard, or loop condition depends on are removed,
     ///   and surviving constants are moved to a prefix that is baked
     ///   into [`SsaProg::seed_vals`] and skipped by [`SsaProg::eval`].
-    /// - **Register-read grouping**: the live register reads follow the
-    ///   constants as one run of slots in register order, which
-    ///   [`PackedProg`] fills with a single pass over each unit's
-    ///   register file.
+    /// - **State-read grouping**: the live register reads follow the
+    ///   constants as one run of slots in register order, then the
+    ///   input-token and stream-finished reads. [`PackedProg`] treats
+    ///   that run as the unit's state rows: the scalar path fills it
+    ///   with a single pass over the register file, and a lane group
+    ///   keeps it resident, so the rows *are* the lanes' registers.
     ///
     /// The original program is kept as the seed-faithful reference
     /// evaluation path; equivalence between the two is enforced by the
@@ -709,11 +712,11 @@ impl SsaProg {
 
         // Compact: surviving constants first (hoisted out of the
         // per-cycle sweep into the seed buffer), then the live register
-        // reads in register order (one contiguous run of rows that
-        // [`PackedProg`] stages per lane instead of per register; CSE
-        // left at most one read per register), then the other live
-        // nodes in their original topological order, operand slots
-        // rewritten.
+        // reads in register order and the input-token and
+        // stream-finished reads (the state rows [`PackedProg`] reads in
+        // place; CSE left at most one read of each, and leaves have no
+        // operands to order them after), then the other live nodes in
+        // their original topological order, operand slots rewritten.
         let mut remap: Vec<Slot> = vec![Slot::MAX; n2];
         let mut nodes: Vec<Node> = Vec::new();
         let mut seed: Vec<u64> = Vec::new();
@@ -740,16 +743,26 @@ impl SsaProg {
             nodes.push(Node::Reg(r));
             seed.push(0);
         }
+        for leaf in [Node::Input, Node::StreamFinished] {
+            for (i, n) in o.nodes.iter().enumerate() {
+                if used[i] && *n == leaf {
+                    remap[i] = nodes.len() as Slot;
+                    nodes.push(leaf.clone());
+                    seed.push(0);
+                }
+            }
+        }
         for (i, n) in o.nodes.iter().enumerate() {
-            if !used[i] || matches!(n, Node::Const(_) | Node::Reg(_)) {
+            let placed = matches!(n, Node::Const(_) | Node::Reg(_) | Node::Input | Node::StreamFinished);
+            if !used[i] || placed {
                 continue;
             }
             remap[i] = nodes.len() as Slot;
             let r = |s: Slot| remap[s as usize];
             nodes.push(match n {
-                Node::Const(_) | Node::Reg(_) => unreachable!("placed above"),
-                Node::Input => Node::Input,
-                Node::StreamFinished => Node::StreamFinished,
+                Node::Const(_) | Node::Reg(_) | Node::Input | Node::StreamFinished => {
+                    unreachable!("placed above")
+                }
                 Node::VecReg { vr, idx } => Node::VecReg { vr: *vr, idx: r(*idx) },
                 Node::BramRead { bram, addr, aw } => {
                     Node::BramRead { bram: *bram, addr: r(*addr), aw: *aw }
@@ -813,13 +826,6 @@ impl SsaProg {
 enum PackedOp {
     /// Constant value (carried in the mask field).
     Const,
-    /// Current input token.
-    Input,
-    /// Stream-finished flag.
-    Finished,
-    /// Register read outside the leading run (`a` is the register
-    /// index); [`SsaProg::optimized`] output has none.
-    Reg,
     /// Vector-register element read (`b` is the vector index, `a` the
     /// index slot; out-of-range selects element 0).
     VecReg,
@@ -892,9 +898,8 @@ struct PackedInst {
 /// an unconditional masking AND.
 ///
 /// Slot numbering is shared with the source program: the leading run of
-/// register reads fills slots `eval_from..`, and instruction `j` writes
-/// the slot `j` places after that run, exactly like the source's node
-/// sweep.
+/// state reads fills slots `eval_from..`, and instruction `j` writes the
+/// slot `j` places after that run, exactly like the source's node sweep.
 /// Buffers seeded from the source's [`SsaProg::seed_vals`] and the
 /// source's `loop_conds`/`ops` therefore remain valid against buffers
 /// evaluated here, and the two evaluators are interchangeable
@@ -902,24 +907,28 @@ struct PackedInst {
 /// engine-level cycle-exactness suite).
 #[derive(Debug, Clone)]
 pub struct PackedProg {
-    /// First slot written; lower slots hold build-time constants.
+    /// First state row; lower slots hold build-time constants.
     base: usize,
-    /// Registers read into slots `base..base + reg_run.len()`: the
-    /// source's leading run of register-read nodes, which
-    /// [`SsaProg::optimized`] makes all of them, in register order. The
-    /// lane sweep fills these rows lane by lane — one [`UnitState`]
-    /// dereference and one pass over its register file per lane —
-    /// where a per-register instruction would chase `states[l]` →
-    /// `regs` → `regs[r]` once per (register, lane) pair.
+    /// Registers read into slots `base..base + reg_run.len()`, in
+    /// register order: the source's leading run of register-read nodes,
+    /// which [`SsaProg::optimized`] makes all of them.
     reg_run: Vec<u32>,
-    /// Instruction `j` writes slot `base + reg_run.len() + j`.
+    /// Whether the input token is read, into the slot after the
+    /// register run.
+    input: bool,
+    /// Whether the stream-finished flag is read, into the slot after
+    /// the input row (or the register run).
+    finished: bool,
+    /// Instruction `j` writes slot [`PackedProg::first_inst_slot`]` + j`.
     insts: Vec<PackedInst>,
 }
 
-/// Shared body of [`PackedProg::eval_lanes`] (wide, `u64` columns) and
-/// [`PackedProg::eval_lanes32`] (narrow, `u32` columns): one
-/// instruction sweep over a lane-major value plane of element type
-/// `$t`.
+/// The one body of the lane sweep ([`PackedProg::sweep_lanes`] over
+/// `u64` columns, [`PackedProg::sweep_lanes32`] over `u32` columns):
+/// one instruction sweep over a lane-major value plane of element type
+/// `$t`, reading each lane's state rows (registers, input token,
+/// finished flag) in place and its vector registers and BRAMs through
+/// `$states[l]`.
 ///
 /// The narrow instantiation is bit-identical to the wide one whenever
 /// [`PackedProg::fits_u32`] holds and every value entering the plane
@@ -931,22 +940,12 @@ pub struct PackedProg {
 /// the wide result's surviving bits would have been masked to zero
 /// anyway (a `<< y` with `y in 32..64` leaves only bits the ≤32-bit
 /// mask discards).
-macro_rules! eval_lanes_body {
-    ($self:ident, $states:ident, $inputs:ident, $finished:ident, $width:ident, $vals:ident, $t:ty) => {{
+macro_rules! sweep_lanes_body {
+    ($self:ident, $states:ident, $width:ident, $vals:ident, $t:ty) => {{
         let n = $states.len();
         assert!(n <= $width, "lane count {n} exceeds plane width {}", $width);
-        assert_eq!($inputs.len(), n);
-        assert_eq!($finished.len(), n);
-        let first = $self.base + $self.reg_run.len();
+        let first = $self.first_inst_slot();
         assert!($vals.len() >= (first + $self.insts.len()) * $width);
-        // Register reads, lane-outer (see [`PackedProg::reg_run`]).
-        let run = &mut $vals[$self.base * $width..first * $width];
-        for (l, st) in $states.iter().enumerate() {
-            let regs = &st.regs[..];
-            for (row, &r) in run.chunks_exact_mut($width).zip(&$self.reg_run) {
-                row[l] = regs[r as usize] as $t;
-            }
-        }
         for (j, inst) in $self.insts.iter().enumerate() {
             // Operand rows all precede the output row, so splitting the
             // plane at the output row proves disjointness to the
@@ -959,25 +958,10 @@ macro_rules! eval_lanes_body {
             let row = |s: usize| &lo[s * $width..s * $width + n];
             match inst.op {
                 PackedOp::Const => out.fill(m),
-                PackedOp::Input => {
-                    for (o, &v) in out.iter_mut().zip(&$inputs[..n]) {
-                        *o = v as $t;
-                    }
-                }
-                PackedOp::Finished => {
-                    for (o, &f) in out.iter_mut().zip($finished) {
-                        *o = f as $t;
-                    }
-                }
-                PackedOp::Reg => {
-                    for (o, st) in out.iter_mut().zip($states) {
-                        *o = st.regs[a] as $t;
-                    }
-                }
                 PackedOp::VecReg => {
                     let ra = row(a);
                     for l in 0..n {
-                        let elems = &$states[l].vec_regs[b];
+                        let elems = &$states[l].borrow().vec_regs[b];
                         let j = ra[l] as usize;
                         out[l] = if j < elems.len() { elems[j] as $t } else { elems[0] as $t };
                     }
@@ -985,7 +969,7 @@ macro_rules! eval_lanes_body {
                 PackedOp::BramRead => {
                     let ra = row(a);
                     for l in 0..n {
-                        out[l] = $states[l].brams[b][(ra[l] & m) as usize] as $t;
+                        out[l] = $states[l].borrow().brams[b][(ra[l] & m) as usize] as $t;
                     }
                 }
                 PackedOp::Not => {
@@ -1125,6 +1109,12 @@ macro_rules! eval_lanes_body {
 impl PackedProg {
     /// Re-encodes `prog`'s node sweep. The packed form evaluates the
     /// same slots to the same values as [`SsaProg::eval`] on `prog`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `prog` is [`SsaProg::optimized`] output: every
+    /// register, input-token and stream-finished read must sit in the
+    /// leading state run.
     pub fn new(prog: &SsaProg) -> PackedProg {
         let live = &prog.nodes[prog.eval_from..];
         let reg_run: Vec<u32> = live
@@ -1134,20 +1124,26 @@ impl PackedProg {
                 _ => None,
             })
             .collect();
-        let insts = live[reg_run.len()..]
+        let mut rest = &live[reg_run.len()..];
+        let mut leads = |leaf: Node| {
+            let found = rest.first() == Some(&leaf);
+            if found {
+                rest = &rest[1..];
+            }
+            found
+        };
+        let input = leads(Node::Input);
+        let finished = leads(Node::StreamFinished);
+        let insts = rest
             .iter()
             .map(|n| {
-                let mut inst = PackedInst { op: PackedOp::Input, a: 0, b: 0, c: 0, m: 0 };
+                let mut inst = PackedInst { op: PackedOp::Const, a: 0, b: 0, c: 0, m: 0 };
                 match n {
                     Node::Const(v) => {
-                        inst.op = PackedOp::Const;
                         inst.m = *v;
                     }
-                    Node::Input => inst.op = PackedOp::Input,
-                    Node::StreamFinished => inst.op = PackedOp::Finished,
-                    Node::Reg(r) => {
-                        inst.op = PackedOp::Reg;
-                        inst.a = *r;
+                    Node::Input | Node::StreamFinished | Node::Reg(_) => {
+                        panic!("PackedProg::new takes SsaProg::optimized output: state reads lead the sweep")
                     }
                     Node::VecReg { vr, idx } => {
                         inst.op = PackedOp::VecReg;
@@ -1219,7 +1215,31 @@ impl PackedProg {
                 inst
             })
             .collect();
-        PackedProg { base: prog.eval_from, reg_run, insts }
+        PackedProg { base: prog.eval_from, reg_run, input, finished, insts }
+    }
+
+    /// The plane rows that hold registers: `(register, row)` for every
+    /// register the program reads, in register order.
+    pub fn reg_rows(&self) -> impl Iterator<Item = (u32, Slot)> + '_ {
+        (self.base as Slot..).zip(&self.reg_run).map(|(s, &r)| (r, s))
+    }
+
+    /// The row that holds the latched input token, if the program reads
+    /// it.
+    pub fn input_row(&self) -> Option<Slot> {
+        self.input.then_some((self.base + self.reg_run.len()) as Slot)
+    }
+
+    /// The row that holds the stream-finished flag, if the program reads
+    /// it.
+    pub fn finished_row(&self) -> Option<Slot> {
+        self.finished.then_some((self.base + self.reg_run.len() + usize::from(self.input)) as Slot)
+    }
+
+    /// The first slot an instruction writes: everything below is a
+    /// constant or a state row.
+    fn first_inst_slot(&self) -> usize {
+        self.base + self.reg_run.len() + usize::from(self.input) + usize::from(self.finished)
     }
 
     /// Evaluates one virtual cycle into `vals` — bit-identical to
@@ -1233,15 +1253,18 @@ impl PackedProg {
         for (v, &r) in vals[self.base..].iter_mut().zip(&self.reg_run) {
             *v = state.regs[r as usize];
         }
-        for (i, inst) in (self.base + self.reg_run.len()..).zip(self.insts.iter()) {
+        if let Some(s) = self.input_row() {
+            vals[s as usize] = input;
+        }
+        if let Some(s) = self.finished_row() {
+            vals[s as usize] = u64::from(finished);
+        }
+        for (i, inst) in (self.first_inst_slot()..).zip(self.insts.iter()) {
             let a = inst.a as usize;
             let b = inst.b as usize;
             let m = inst.m;
             vals[i] = match inst.op {
                 PackedOp::Const => m,
-                PackedOp::Input => input,
-                PackedOp::Finished => finished as u64,
-                PackedOp::Reg => state.regs[a],
                 PackedOp::VecReg => {
                     let elems = &state.vec_regs[b];
                     let j = vals[a] as usize;
@@ -1294,7 +1317,11 @@ impl PackedProg {
     }
 
     /// Evaluates one virtual cycle for up to `width` replica lanes in a
-    /// single instruction sweep, into a lane-major value plane.
+    /// single instruction sweep, into a lane-major value plane: stages
+    /// every lane's state rows (registers lane-outer — one [`UnitState`]
+    /// dereference and one pass over its register file per lane — then
+    /// the input and finished rows) and runs
+    /// [`PackedProg::sweep_lanes`] over them.
     ///
     /// Lane `l` of slot `s` lives at `vals[s * width + l]`. Rows below
     /// `base` hold build-time constants replicated across all lanes
@@ -1303,23 +1330,15 @@ impl PackedProg {
     /// `l` the values written are bit-identical to
     /// [`PackedProg::eval`] over `(states[l], inputs[l], finished[l])` —
     /// divergence between lanes (guards, loop phases, BRAM addresses)
-    /// is free because every lane carries its own column; the engine's
-    /// masking happens by simply not enrolling wedged/stalled/drained
-    /// units into a lane group. Lanes `states.len()..width` are left
-    /// untouched (stale) and must not be read back.
-    ///
-    /// The per-instruction structure keeps each output row disjoint
-    /// from every operand row (operands precede their instruction in
-    /// topological order), so the inner per-lane loops are
-    /// straight-line, bounds-check-free slice arithmetic the compiler
-    /// can vectorize.
+    /// is free because every lane carries its own column. Lanes
+    /// `states.len()..width` are left untouched (stale) and must not be
+    /// read back.
     ///
     /// # Panics
     ///
     /// Panics if the input slices disagree on lane count, more than
     /// `width` lanes are given, or `vals` is shorter than
     /// `slots * width` for the source program's slot count.
-    #[allow(unsafe_code, clippy::unnecessary_cast, trivial_numeric_casts)]
     pub fn eval_lanes(
         &self,
         states: &[&UnitState],
@@ -1328,37 +1347,8 @@ impl PackedProg {
         width: usize,
         vals: &mut [u64],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 probe above; the
-            // function body is the identical safe sweep, merely
-            // compiled with 256-bit vectors enabled. AVX2, not
-            // AVX-512: 512-bit license-based frequency throttling on
-            // server parts slows the scalar walk and controller code
-            // sharing the core more than the wider sweep saves.
-            unsafe { self.eval_lanes_avx2(states, inputs, finished, width, vals) };
-            return;
-        }
-        eval_lanes_body!(self, states, inputs, finished, width, vals, u64)
-    }
-
-    /// [`PackedProg::eval_lanes`] recompiled with AVX2 enabled. The
-    /// portable build targets baseline x86-64 (SSE2), which caps the
-    /// auto-vectorizer at two 64-bit lanes per register; this clone of
-    /// the exact same sweep body lets it use four. Bit-identical by
-    /// construction — same code, wider registers.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::unnecessary_cast, trivial_numeric_casts)]
-    fn eval_lanes_avx2(
-        &self,
-        states: &[&UnitState],
-        inputs: &[u64],
-        finished: &[bool],
-        width: usize,
-        vals: &mut [u64],
-    ) {
-        eval_lanes_body!(self, states, inputs, finished, width, vals, u64)
+        self.stage_lanes(states, inputs, finished, width, vals, |v| v);
+        self.sweep_lanes(states, width, vals);
     }
 
     /// Narrow-plane variant of [`PackedProg::eval_lanes`] over `u32`
@@ -1371,12 +1361,12 @@ impl PackedProg {
     /// constant rows. The caller owns that precondition (the executor
     /// layer derives it once per compiled unit from the spec's widths
     /// and reset values); under it every lane is bit-identical to the
-    /// wide sweep — see [`eval_lanes_body!`]'s notes for the argument.
+    /// wide sweep — the notes on the shared sweep body (the private
+    /// `sweep_lanes_body!` macro) give the argument.
     ///
     /// # Panics
     ///
     /// Same contract as [`PackedProg::eval_lanes`].
-    #[allow(unsafe_code)]
     pub fn eval_lanes32(
         &self,
         states: &[&UnitState],
@@ -1385,30 +1375,112 @@ impl PackedProg {
         width: usize,
         vals: &mut [u32],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 probe above; same
-            // safe body, wider registers (see `eval_lanes_avx2`).
-            unsafe { self.eval_lanes32_avx2(states, inputs, finished, width, vals) };
-            return;
-        }
-        eval_lanes_body!(self, states, inputs, finished, width, vals, u32)
+        self.stage_lanes(states, inputs, finished, width, vals, |v| v as u32);
+        self.sweep_lanes32(states, width, vals);
     }
 
-    /// AVX2 clone of [`PackedProg::eval_lanes32`]; eight 32-bit lanes
-    /// per register instead of SSE2's four. See
-    /// [`PackedProg::eval_lanes`]'s AVX2 clone for the rationale.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn eval_lanes32_avx2(
+    /// Writes each lane's state rows: its registers, latched input token
+    /// and finished flag, converted to the plane word by `word`.
+    fn stage_lanes<T>(
         &self,
         states: &[&UnitState],
         inputs: &[u64],
         finished: &[bool],
         width: usize,
-        vals: &mut [u32],
+        vals: &mut [T],
+        word: impl Fn(u64) -> T,
     ) {
-        eval_lanes_body!(self, states, inputs, finished, width, vals, u32)
+        let n = states.len();
+        assert!(n <= width, "lane count {n} exceeds plane width {width}");
+        assert_eq!(inputs.len(), n);
+        assert_eq!(finished.len(), n);
+        let run = &mut vals[self.base * width..(self.base + self.reg_run.len()) * width];
+        for (l, st) in states.iter().enumerate() {
+            let regs = &st.regs[..];
+            for (row, &r) in run.chunks_exact_mut(width).zip(&self.reg_run) {
+                row[l] = word(regs[r as usize]);
+            }
+        }
+        if let Some(s) = self.input_row() {
+            for (v, &i) in vals[s as usize * width..][..n].iter_mut().zip(inputs) {
+                *v = word(i);
+            }
+        }
+        if let Some(s) = self.finished_row() {
+            for (v, &f) in vals[s as usize * width..][..n].iter_mut().zip(finished) {
+                *v = word(u64::from(f));
+            }
+        }
+    }
+
+    /// The lane sweep proper: evaluates one virtual cycle for lanes
+    /// `0..states.len()` of a lane-major `u64` plane whose state rows
+    /// ([`PackedProg::reg_rows`], [`PackedProg::input_row`],
+    /// [`PackedProg::finished_row`]) already hold each lane's values —
+    /// staged by [`PackedProg::eval_lanes`], or resident in a lane
+    /// group that keeps them there between cycles. `states[l]` supplies
+    /// only lane `l`'s vector registers and BRAMs, which are
+    /// dynamically indexed; its `regs` are not read.
+    ///
+    /// The per-instruction structure keeps each output row disjoint
+    /// from every operand row (operands precede their instruction in
+    /// topological order), so the inner per-lane loops are
+    /// straight-line, bounds-check-free slice arithmetic the compiler
+    /// can vectorize.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `width` lanes are given or `vals` is shorter
+    /// than `slots * width` for the source program's slot count.
+    #[allow(unsafe_code, clippy::unnecessary_cast, trivial_numeric_casts)]
+    pub fn sweep_lanes<S: Borrow<UnitState>>(&self, states: &[S], width: usize, vals: &mut [u64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime AVX2 probe above; the
+            // function body is the identical safe sweep, merely
+            // compiled with 256-bit vectors enabled. AVX2, not
+            // AVX-512: 512-bit license-based frequency throttling on
+            // server parts slows the scalar walk and controller code
+            // sharing the core more than the wider sweep saves.
+            unsafe { self.sweep_lanes_avx2(states, width, vals) };
+            return;
+        }
+        sweep_lanes_body!(self, states, width, vals, u64)
+    }
+
+    /// [`PackedProg::sweep_lanes`] recompiled with AVX2 enabled. The
+    /// portable build targets baseline x86-64 (SSE2), which caps the
+    /// auto-vectorizer at two 64-bit lanes per register; this clone of
+    /// the exact same sweep body lets it use four. Bit-identical by
+    /// construction — same code, wider registers.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::unnecessary_cast, trivial_numeric_casts)]
+    fn sweep_lanes_avx2<S: Borrow<UnitState>>(&self, states: &[S], width: usize, vals: &mut [u64]) {
+        sweep_lanes_body!(self, states, width, vals, u64)
+    }
+
+    /// [`PackedProg::sweep_lanes`] over a `u32` plane, under
+    /// [`PackedProg::eval_lanes32`]'s precondition.
+    #[allow(unsafe_code)]
+    pub fn sweep_lanes32<S: Borrow<UnitState>>(&self, states: &[S], width: usize, vals: &mut [u32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime AVX2 probe above; same
+            // safe body, wider registers (see `sweep_lanes_avx2`).
+            unsafe { self.sweep_lanes32_avx2(states, width, vals) };
+            return;
+        }
+        sweep_lanes_body!(self, states, width, vals, u32)
+    }
+
+    /// AVX2 clone of [`PackedProg::sweep_lanes32`]; eight 32-bit lanes
+    /// per register instead of SSE2's four. See
+    /// [`PackedProg::sweep_lanes`]'s AVX2 clone for the rationale.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn sweep_lanes32_avx2<S: Borrow<UnitState>>(&self, states: &[S], width: usize, vals: &mut [u32]) {
+        sweep_lanes_body!(self, states, width, vals, u32)
     }
 
     /// Whether this instruction stream is admissible on the narrow

@@ -3,7 +3,7 @@
 use fleet_lang::UnitSpec;
 
 /// Values of all state elements of one processing unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UnitState {
     /// Scalar register values, indexed by register id.
     pub regs: Vec<u64>,

@@ -70,6 +70,7 @@ pub mod builder;
 pub mod display;
 pub mod expr;
 pub mod flatten;
+pub mod generate;
 pub mod patterns;
 pub mod stmt;
 pub mod types;

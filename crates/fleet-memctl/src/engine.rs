@@ -36,13 +36,13 @@
 //!
 //! Each cycle splits into two phases:
 //!
-//! 1. **Evaluate** ([`eval_unit`]): runs one unit's combinational +
+//! 1. **Evaluate** (`eval_unit`): runs one unit's combinational +
 //!    clocked step against an immutable snapshot of its own
-//!    [`PuState`], mutating only the unit itself, and returns a compact
-//!    [`PuEffect`] record. A unit's evaluation reads nothing but its
-//!    own state, so any partition of the worklist evaluates
-//!    independently.
-//! 2. **Merge** ([`Ctl::apply_effect`]): applies effects *in ascending
+//!    controller-side state (`PuState`), mutating only the unit itself
+//!    and its lane, and returns a compact effect record (`PuEffect`). A
+//!    unit's evaluation reads nothing but its own state, so any
+//!    partition of the worklist evaluates independently.
+//! 2. **Merge** (`Ctl::apply_effect`): applies effects *in ascending
 //!    unit index order* — buffer pops/pushes, stats, trace probes,
 //!    finish/sleep transitions — exactly the order the serial loop
 //!    interleaves them.
@@ -56,13 +56,14 @@
 use std::collections::{HashMap, VecDeque};
 
 use fleet_axi::{ChannelStats, DramChannel, BEAT_BYTES};
-use fleet_compiler::{PuExec, PuExecBatch, PuIn, Quiescence, MAX_LANES};
+use fleet_compiler::{PuExec, PuIn, Quiescence};
 use fleet_trace::{
     ChannelTrace, CounterSink, CycleClass, DramCounters, EventKind, NullSink, Probe, QueueKind,
     SignalId, TraceSink,
 };
 
 use crate::config::{Addressing, MemCtlConfig};
+use crate::lanes::{lane_preeval, LaneGroups};
 use crate::unit::StreamUnit;
 
 /// Mirrors the DRAM channel's counters into the dependency-free
@@ -327,8 +328,9 @@ fn first_set_circular(start: usize, word: impl Fn(usize) -> u64, nw: usize) -> O
 
 /// The unit's `output_ready` pin: room for one more token in its output
 /// buffer — never, once the unit has wedged. [`pins_of`] and the lane
-/// sweep's retire mask ([`lane_preeval`]) both read it here, so a sweep
-/// retires exactly the handshakes the pins would accept.
+/// sweep's retire mask ([`lane_preeval`](crate::lanes::lane_preeval))
+/// both read it here, so a sweep retires exactly the handshakes the pins
+/// would accept.
 #[inline]
 pub(crate) fn output_ready_of(st: &PuState, params: &EvalParams) -> bool {
     !st.wedged && st.out_buffer.len() + params.out_token_bytes <= params.output_buffer_bytes
@@ -365,9 +367,13 @@ pub(crate) fn pins_of(st: &PuState, params: &EvalParams) -> PuIn {
 }
 
 /// Phase 1 of a cycle for one unit: combinational evaluation + clock
-/// (one fused step when [`lane_preeval`] already retired the unit's
-/// virtual cycle), touching only `unit` itself and reading `st`
-/// immutably. Returns the effect record for the serial merge.
+/// (one fused step, [`PuExec::clock_retired`], when the unit is
+/// resident in one of `lanes`' groups and the cycle's sweep retired it),
+/// touching only `unit` itself and its lane, and reading `st`
+/// immutably. Returns the effect record for the serial merge. A unit
+/// that leaves the per-unit path with an evaluation pending is noted as
+/// a joiner for the next sweep. `base` is the global index of the
+/// scope's first unit.
 ///
 /// `reference` selects the seed-faithful reference program (the naive
 /// tick) and disables sleeping; the fast paths pass `false`.
@@ -377,6 +383,8 @@ pub(crate) fn eval_unit<U: StreamUnit>(
     unit: &mut U,
     st: &PuState,
     params: &EvalParams,
+    lanes: &mut LaneGroups,
+    base: usize,
     reference: bool,
 ) -> PuEffect {
     // The fast paths run units on their optimized evaluation path; the
@@ -384,12 +392,19 @@ pub(crate) fn eval_unit<U: StreamUnit>(
     // comparisons are honest. Both are cycle-exact.
     unit.set_reference_eval(reference);
     let pins = pins_of(st, params);
-    let retired = unit.lane_exec_mut().and_then(|x| x.clock_retired(&pins));
+    let home = lanes.home(p - base);
+    let retired = home.and_then(|(g, l)| {
+        let x = unit.lane_exec_mut().expect("resident units have a lane executor");
+        x.clock_retired(lanes.group_mut(g), l, &pins)
+    });
     let out = retired.unwrap_or_else(|| {
         let out = unit.comb(&pins);
         unit.clock(&pins);
         out
     });
+    if home.is_none() && params.lane_width > 1 && unit.lane_exec().is_some_and(PuExec::lane_pending) {
+        lanes.joiners.push(p);
+    }
     // Exactly one class per PU per cycle (conservation):
     // back-pressured emission is an output stall, an idle unit whose
     // buffer has no token is an input stall, everything else (including
@@ -433,89 +448,6 @@ pub(crate) fn eval_unit<U: StreamUnit>(
         emitted,
         finished,
         signals: [pins.input_valid, out.input_ready, out.output_valid, pins.output_ready],
-    }
-}
-
-/// See [`PuExec::lane_retired`]: only ever true inside one engine cycle.
-fn lane_retired<U: StreamUnit>(unit: &U) -> bool {
-    unit.lane_exec().is_some_and(PuExec::lane_retired)
-}
-
-/// Lane-batched pre-evaluation: sweeps groups of active units that run
-/// the *same* packed program through one SIMD instruction walk
-/// ([`PuExecBatch::retire`]), which commits each lane's virtual cycle
-/// straight into its unit so the per-unit [`eval_unit`] call only has
-/// the fused [`PuExec::clock_retired`] step left. A lane whose emission
-/// is back-pressured is not retired: it leaves with the evaluation
-/// cached, and [`eval_unit`] stalls it through `comb`/`clock` as ever.
-///
-/// Bit-exactness is structural: the vcycle evaluation reads only the
-/// unit's latched `(state, input token, finished)` triple, and whether
-/// it commits this cycle depends only on the `output_ready` pin, which
-/// [`output_ready_of`] derives from the unit's own [`PuState`] —
-/// nothing between this pre-pass and the unit's own step in the same
-/// cycle mutates either. Units whose program differs from the group
-/// anchor (or that have nothing pending) are simply left for the
-/// ordinary per-unit path, so serial and pooled drives may group
-/// differently and still agree on every bit.
-///
-/// `base` is the global index of `units[0]` (shards own a contiguous
-/// slice); `active` (ascending) and `pus` use global indices. `batch`
-/// and `group` are caller-owned scratch recycled across cycles.
-pub(crate) fn lane_preeval<U: StreamUnit>(
-    units: &mut [U],
-    base: usize,
-    active: &[usize],
-    pus: &[PuState],
-    params: &EvalParams,
-    batch: &mut Option<PuExecBatch>,
-    group: &mut Vec<usize>,
-) {
-    debug_assert!(
-        !active.iter().any(|&p| lane_retired(&units[p - base])),
-        "a retired lane outlived its engine cycle"
-    );
-    let width = params.lane_width;
-    if width <= 1 || active.len() < 2 {
-        return;
-    }
-    group.clear();
-    for &p in active {
-        let Some(x) = units[p - base].lane_exec() else { continue };
-        if !x.lane_pending() {
-            continue;
-        }
-        if group.is_empty() {
-            // First pending unit anchors the group; reuse the existing
-            // batch when it already targets this program at this width.
-            let fits = batch.as_ref().is_some_and(|b| b.matches(x) && b.width() == width);
-            if !fits {
-                *batch = Some(PuExecBatch::for_unit(x, width));
-            }
-            group.push(p);
-        } else if batch.as_ref().expect("anchored above").matches(x) {
-            group.push(p);
-        }
-    }
-    let Some(b) = batch.as_mut() else { return };
-    for chunk in group.chunks(width) {
-        if chunk.len() < 2 {
-            continue; // a lone lane gains nothing over the scalar path
-        }
-        // Stack-resident lane list (`MemCtlConfig::check` caps the
-        // width, and so every chunk, at `MAX_LANES`): the chunk is
-        // ascending, so its units peel off the front of the slice as
-        // disjoint `&mut`s.
-        let mut lanes: [Option<&mut PuExec>; MAX_LANES] = [const { None }; MAX_LANES];
-        let mut output_ready = 0u64;
-        let (mut rest, mut next) = (&mut *units, base);
-        for (l, &p) in chunk.iter().enumerate() {
-            let (unit, tail) = rest[p - next..].split_first_mut().expect("grouped above");
-            lanes[l] = unit.lane_exec_mut();
-            output_ready |= u64::from(output_ready_of(&pus[p], params)) << l;
-            (rest, next) = (tail, p + 1);
-        }
-        b.retire(&mut lanes[..chunk.len()], output_ready);
     }
 }
 
@@ -713,11 +645,9 @@ pub struct ChannelEngine<U, S: TraceSink = NullSink> {
     /// Quiescence-skipping worklist (kept sorted so units are evaluated
     /// in index order, like the naive all-units loop).
     pub(crate) active: Vec<usize>,
-    /// Lane-batched evaluation scratch for the serial tick (pooled runs
-    /// keep one per shard): the current program's SIMD batch and the
-    /// per-cycle group of units swept through it.
-    pub(crate) batch: Option<PuExecBatch>,
-    pub(crate) lane_group: Vec<usize>,
+    /// The serial tick's lane groups (pooled runs keep theirs per
+    /// shard): resident units' registers live there between cycles.
+    pub(crate) lanes: LaneGroups,
     pub(crate) ctl: Ctl<S>,
 }
 
@@ -799,8 +729,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
             units,
             pus,
             active: (0..n_pus).collect(),
-            batch: None,
-            lane_group: Vec::new(),
+            lanes: LaneGroups::default(),
             ctl: Ctl {
                 cfg,
                 dram,
@@ -876,6 +805,10 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
     }
 
     /// The units themselves (for reading per-unit counters after a run).
+    /// After a drive ([`ChannelEngine::run_channel`] and its open form)
+    /// or a [`ChannelEngine::tick_naive`] every unit holds its own state;
+    /// between bare [`ChannelEngine::tick`]s, units resident in a lane
+    /// group do not.
     pub fn units(&self) -> &[U] {
         &self.units
     }
@@ -1067,9 +1000,10 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
         Ok(())
     }
 
-    /// Whether any open stream is currently starving the channel (see
-    /// [`Ctl::open_starved`]); such a channel's open run loop suspends
-    /// until an append or close changes the picture.
+    /// Whether any open stream is currently starving the channel: it
+    /// has fewer un-fetched bytes than one input burst. Such a channel's
+    /// open run loop suspends until an append or close changes the
+    /// picture.
     pub fn open_starved(&self) -> bool {
         self.ctl.open_starved(&self.pus)
     }
@@ -1134,13 +1068,12 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
     /// units are skipped and accounted in bulk; results are identical to
     /// [`ChannelEngine::tick_naive`].
     pub fn tick(&mut self) {
-        let Self { units, pus, active, batch, lane_group, ctl } = self;
+        let Self { units, pus, active, lanes, ctl } = self;
         ctl.probe.cycle_start(ctl.stats.cycles);
-        // --- Lane-batched pre-evaluation: sweep same-program units
-        // awaiting a virtual-cycle evaluation through one SIMD
-        // instruction walk, so the per-unit loop below finds their
+        // --- Lane phase: residency upkeep and one SIMD sweep per lane
+        // group, so the per-unit loop below finds resident units'
         // virtual cycles already retired. ---
-        lane_preeval(units, 0, active, pus, &ctl.params, batch, lane_group);
+        lane_preeval(units, 0, pus, &ctl.params, lanes);
         // --- Processing units (active worklist, index order): evaluate
         // and merge fused per unit. ---
         active.retain(|&p| {
@@ -1149,7 +1082,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
                 pus[p].sleep = Some((ctl.stats.cycles, CycleClass::Drained));
                 false
             } else {
-                let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, false);
+                let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, lanes, 0, false);
                 ctl.apply_effect(&eff, pus)
             }
         });
@@ -1170,10 +1103,11 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
     /// path to cycle-exactness.
     ///
     /// Naive and fast ticks can be interleaved on one engine: this
-    /// flushes and wakes everything first, so state stays exact.
+    /// evicts the lane groups, flushes and wakes everything first, so
+    /// state stays exact.
     pub fn tick_naive(&mut self) {
         self.flush_and_wake_all();
-        let Self { units, pus, ctl, .. } = self;
+        let Self { units, pus, lanes, ctl, .. } = self;
         ctl.probe.cycle_start(ctl.stats.cycles);
 
         for p in 0..units.len() {
@@ -1188,7 +1122,7 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
                 }
                 continue;
             }
-            let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, true);
+            let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, lanes, 0, true);
             let keep = ctl.apply_effect(&eff, pus);
             debug_assert!(keep, "reference evaluation never parks a unit");
         }
@@ -1196,13 +1130,14 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
         ctl.finish_cycle(pus, &mut Some(units.as_mut_slice()), true);
     }
 
-    /// Flushes deferred accounting and returns every sleeper to the
-    /// active worklist (finished units stay off it — the naive loop
-    /// handles them with its own per-cycle branch).
+    /// Stores every resident unit back, flushes deferred accounting and
+    /// returns every sleeper to the active worklist (finished units stay
+    /// off it — the naive loop handles them with its own per-cycle
+    /// branch).
     fn flush_and_wake_all(&mut self) {
+        self.lanes.evict_all(&mut self.units, 0);
         self.flush_trace();
         debug_assert!(self.ctl.pending_skips.is_empty(), "skips drained at pooled teardown");
-        debug_assert!(!self.units.iter().any(lane_retired), "a retired lane outlived its engine cycle");
         self.ctl.woken.clear();
         self.active.clear();
         for p in 0..self.pus.len() {

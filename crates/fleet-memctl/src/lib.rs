@@ -23,6 +23,7 @@
 
 pub mod config;
 pub mod engine;
+mod lanes;
 mod par;
 pub mod pool;
 pub mod unit;

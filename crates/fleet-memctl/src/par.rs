@@ -35,13 +35,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use fleet_compiler::PuExecBatch;
 use fleet_trace::{CycleClass, TraceSink};
 
 use crate::engine::{
-    eval_unit, lane_preeval, merge_sorted_slice, stall_error, ChannelEngine, Ctl, EngineRunError,
-    EvalParams, OpenStep, PuEffect, PuState, Watchdog,
+    eval_unit, merge_sorted_slice, stall_error, ChannelEngine, Ctl, EngineRunError, EvalParams,
+    OpenStep, PuEffect, PuState, Watchdog,
 };
+use crate::lanes::{lane_preeval, LaneGroups};
 use crate::pool::{panic_message, SimPool};
 use crate::unit::StreamUnit;
 
@@ -56,12 +56,10 @@ struct ShardCtx<U> {
     active: Vec<usize>,
     wakes: Vec<(usize, u64)>,
     effects: Vec<PuEffect>,
-    /// Lane-batched evaluation scratch, shard-local so workers need no
-    /// shared state (see [`lane_preeval`]). Shards may group units
-    /// differently than the serial tick would; results are identical
-    /// either way.
-    batch: Option<PuExecBatch>,
-    group: Vec<usize>,
+    /// The shard's own lane groups, so workers need no shared state
+    /// (see [`lane_preeval`]). Shards may group units differently than
+    /// the serial tick would; results are identical either way.
+    lanes: LaneGroups,
 }
 
 type ShardReply<U> = (usize, ShardCtx<U>, Result<(), String>);
@@ -76,12 +74,12 @@ fn run_shard<U: StreamUnit>(
     params: &EvalParams,
     trace: bool,
 ) {
-    let ShardCtx { base, units, active, wakes, effects, batch, group } = ctx;
+    let ShardCtx { base, units, active, wakes, effects, lanes } = ctx;
     let base = *base;
-    // Lane-batched pre-evaluation over this shard's slice (woken units
-    // never have an evaluation pending — they were asleep last cycle —
-    // so the owed skip spans applied below cannot interact with it).
-    lane_preeval(units, base, active, pus, params, batch, group);
+    // The lane phase over this shard's slice (woken units never have an
+    // evaluation pending — they were asleep last cycle — so the owed
+    // skip spans applied below cannot interact with it).
+    lane_preeval(units, base, pus, params, lanes);
     let mut wi = 0usize;
     active.retain(|&p| {
         let unit = &mut units[p - base];
@@ -89,7 +87,7 @@ fn run_shard<U: StreamUnit>(
             unit.skip_cycles(wakes[wi].1);
             wi += 1;
         }
-        let eff = eval_unit(p, unit, &pus[p], params, false);
+        let eff = eval_unit(p, unit, &pus[p], params, lanes, base, false);
         let keep = eff.sleep.is_none();
         // Skip inert records (nothing for the merge to do) unless a
         // sink is attached — probes need every class, every cycle.
@@ -154,8 +152,7 @@ fn partition<U>(
                 active: active[a_lo..a_hi].to_vec(),
                 wakes: wakes[w_lo..w_hi].to_vec(),
                 effects: Vec::new(),
-                batch: None,
-                group: Vec::new(),
+                lanes: LaneGroups::default(),
             }
         })
         .collect()
@@ -165,7 +162,7 @@ fn partition<U>(
 /// that one shard dominates the cycle's critical path. The trigger and
 /// the new boundaries depend only on simulation state, so the schedule
 /// stays deterministic (and irrelevant to results regardless).
-fn maybe_rebalance<U>(slots: &mut Vec<Option<ShardCtx<U>>>, k: usize) {
+fn maybe_rebalance<U: StreamUnit>(slots: &mut Vec<Option<ShardCtx<U>>>, k: usize) {
     if k <= 1 {
         return;
     }
@@ -178,11 +175,19 @@ fn maybe_rebalance<U>(slots: &mut Vec<Option<ShardCtx<U>>>, k: usize) {
     if max <= target + target / 2 + 8 {
         return;
     }
+    resplit(slots, k);
+}
+
+/// Re-partitions the shards' units into `k` shards; each shard's lane
+/// groups are evicted first, since its units may move to another shard.
+fn resplit<U: StreamUnit>(slots: &mut Vec<Option<ShardCtx<U>>>, k: usize) {
+    let total: usize = slots.iter().map(|s| s.as_ref().unwrap().active.len()).sum();
     let mut units = Vec::new();
     let mut active = Vec::with_capacity(total);
     let mut wakes = Vec::new();
     for slot in slots.drain(..) {
-        let ctx = slot.unwrap();
+        let mut ctx = slot.unwrap();
+        ctx.lanes.evict_all(&mut ctx.units, ctx.base);
         units.extend(ctx.units);
         active.extend_from_slice(&ctx.active);
         wakes.extend_from_slice(&ctx.wakes);
@@ -225,6 +230,7 @@ impl<'p, U: StreamUnit + Send + 'static> PooledRun<'p, U> {
             !pus[p].finished
         });
 
+        eng.lanes.evict_all(&mut eng.units, 0);
         let k = shards.min(pool.workers()).min(eng.units.len()).max(1);
         let units = std::mem::take(&mut eng.units);
         let active = std::mem::take(&mut eng.active);
@@ -245,13 +251,15 @@ impl<'p, U: StreamUnit + Send + 'static> PooledRun<'p, U> {
         self.slots.iter().all(|s| s.as_ref().expect("shard at home").active.is_empty())
     }
 
-    /// Reassembles `eng` (shards are contiguous and in order) and
-    /// applies the skip spans still owed to woken units.
+    /// Evicts the shards' lane groups, reassembles `eng` (shards are
+    /// contiguous and in order) and applies the skip spans still owed to
+    /// woken units.
     fn end<S: TraceSink>(self, eng: &mut ChannelEngine<U, S>) {
         let mut deferred: Vec<(usize, u64)> = Vec::new();
         eng.units = Vec::with_capacity(self.shared.len());
         for slot in self.slots {
-            let ctx = slot.expect("all shards home after the run");
+            let mut ctx = slot.expect("all shards home after the run");
+            ctx.lanes.evict_all(&mut ctx.units, ctx.base);
             deferred.extend_from_slice(&ctx.wakes);
             eng.active.extend_from_slice(&ctx.active);
             eng.units.extend(ctx.units);
@@ -471,10 +479,60 @@ where
                 break Err(stall_error(pus, watchdog.idle));
             }
         };
-        if let Some(run) = pooled {
-            run.end(self);
+        // Every exit hands the units their state back: the run's end,
+        // an open run's suspend, a budget or watchdog stop.
+        match pooled {
+            Some(run) => run.end(self),
+            None => self.lanes.evict_all(&mut self.units, 0),
         }
         self.flush_trace();
         result
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lanes::tests::{assert_matches_twin, busy_spec, engine, streams};
+    use crate::{MemCtlConfig, SimThreads};
+
+    /// A pooled re-split moves units between shards, so every shard
+    /// stores its resident units back first: at each forced re-split no
+    /// unit may stay resident and each holds its scalar twin's state,
+    /// and the run still ends exactly where the twin does.
+    #[test]
+    fn pooled_resplit_evicts_and_stays_exact() {
+        let spec = busy_spec();
+        let s = streams(48, 600);
+        let cfg = MemCtlConfig::default();
+        let mut fast = engine(&spec, cfg, &s);
+        let mut twin = engine(&spec, MemCtlConfig { lane_width: 1, ..cfg }, &s);
+        let pool = SimPool::new(SimThreads::Fixed(4));
+        let mut run = PooledRun::begin(&mut fast, &pool, 4);
+        let (mut c, mut evicting) = (0u64, 0);
+        while !fast.done() {
+            pooled_cycle(&mut run, &mut fast.ctl);
+            twin.tick();
+            c += 1;
+            if c % 50 == 0 {
+                let shards = || run.slots.iter().map(|s| s.as_ref().expect("shard at home"));
+                evicting += usize::from(shards().any(|ctx| (0..ctx.units.len()).any(|i| ctx.lanes.home(i).is_some())));
+                resplit(&mut run.slots, run.k);
+                for ctx in run.slots.iter().map(|s| s.as_ref().unwrap()) {
+                    for (i, unit) in ctx.units.iter().enumerate() {
+                        assert!(ctx.lanes.home(i).is_none(), "cycle {c}: unit {} stayed resident", ctx.base + i);
+                        assert_eq!(unit.state(), twin.units[ctx.base + i].state(), "cycle {c}: unit {}", ctx.base + i);
+                    }
+                }
+            }
+            assert!(c < 1_000_000);
+        }
+        run.end(&mut fast);
+        assert!(twin.done());
+        assert!(evicting > 0, "no re-split found a resident unit");
+        assert_matches_twin(&mut fast, &mut twin, "end");
+        for p in 0..s.len() {
+            assert_eq!(fast.output_bytes(p), twin.output_bytes(p), "unit {p} output");
+        }
     }
 }

@@ -52,9 +52,9 @@ pub trait StreamUnit {
     fn lane_exec(&self) -> Option<&PuExec> {
         None
     }
-    /// Mutable access to the unit's [`PuExec`] core: a batched sweep
-    /// retires the unit's virtual cycle through it. Must return `Some`
-    /// iff [`StreamUnit::lane_exec`] does.
+    /// Mutable access to the unit's [`PuExec`] core: a lane group loads
+    /// the unit in, steps it, and stores it back through it. Must return
+    /// `Some` iff [`StreamUnit::lane_exec`] does.
     fn lane_exec_mut(&mut self) -> Option<&mut PuExec> {
         None
     }

@@ -24,7 +24,7 @@ const LATENCY_SAMPLE_CAP: usize = 8192;
 ///
 /// Count, sum (mean), and max are always exact. Percentiles are
 /// nearest-rank over a *bounded* sorted sample buffer: every sample is
-/// kept until [`LATENCY_SAMPLE_CAP`], so the serving benchmarks'
+/// kept until the 8,192-sample cap, so the serving benchmarks'
 /// thousands-of-jobs distributions stay bit-exact; past the cap the
 /// buffer keeps every `stride`-th arrival (stride doubling as needed),
 /// a systematic reservoir whose nearest-rank error is at most a few
