@@ -182,7 +182,7 @@ impl DramChannel {
 
     /// Arms seeded fault injection on this channel. Decisions are keyed
     /// by the channel's own deterministic request/beat counters, so the
-    /// injected sites are identical at every sim-thread count. An inert
+    /// injected sites are identical on every run. An inert
     /// plan (`is_none`) leaves the hooks disabled.
     pub fn set_faults(&mut self, faults: DramFaults) {
         self.faults = if faults.is_none() { None } else { Some(faults) };

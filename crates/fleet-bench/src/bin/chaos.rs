@@ -5,15 +5,14 @@
 //! rate sweeps from zero to heavy: DRAM read-stall spikes, corrected
 //! ECC flips, and PU wedges, all derived from one `--fault-seed` via
 //! pure hashes (never a shared RNG), so a fixed seed reproduces every
-//! fault — and therefore every retry, timeout, and quarantine — at any
-//! sim-thread count. Per rate the report covers goodput
+//! fault — and therefore every retry, timeout, and quarantine — run to
+//! run. Per rate the report covers goodput
 //! (completed-jobs/sec), availability (completed / submitted), and the
 //! p99 latency degradation against the fault-free baseline.
 //!
-//! Before any numbers are reported, the run re-serves the heaviest
-//! sweep point at 1 and 8 simulation threads and asserts the two
-//! service reports are byte-identical — the determinism contract the
-//! whole experiment rests on.
+//! Before any numbers are reported, the run serves the heaviest sweep
+//! point twice and asserts the two service reports are byte-identical —
+//! the determinism contract the whole experiment rests on.
 //!
 //! ```text
 //! cargo run -p fleet-bench --bin chaos --release -- \
@@ -25,7 +24,7 @@ use fleet_apps::{App, AppKind};
 use fleet_bench::workload::{self, fingerprint};
 use fleet_bench::{print_table, write_bench_json};
 use fleet_host::{Host, HostConfig, Job, ServiceReport};
-use fleet_system::{FaultPlan, SimThreads};
+use fleet_system::FaultPlan;
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -122,21 +121,18 @@ fn build_workload(args: &Args) -> Vec<Job> {
     )
 }
 
-fn config(args: &Args, rate_ppm: u32, threads: Option<usize>) -> HostConfig {
+fn config(args: &Args, rate_ppm: u32) -> HostConfig {
     let mut cfg = HostConfig::new(args.instances);
     cfg.max_jobs_per_batch = args.max_jobs_per_batch;
     // A tight watchdog keeps wedged runs cheap to simulate; every
     // sweep point uses the same window so timing is comparable.
     cfg.system.watchdog_cycles = 50_000;
     cfg.fault = plan_at(args.fault_seed, rate_ppm);
-    if let Some(t) = threads {
-        cfg.system.sim_threads = SimThreads::Fixed(t);
-    }
     cfg
 }
 
-fn serve(args: &Args, rate_ppm: u32, threads: Option<usize>, jobs: &[Job]) -> ServiceReport {
-    Host::new(config(args, rate_ppm, threads)).serve(jobs.to_vec())
+fn serve(args: &Args, rate_ppm: u32, jobs: &[Job]) -> ServiceReport {
+    Host::new(config(args, rate_ppm)).serve(jobs.to_vec())
 }
 
 fn main() {
@@ -154,16 +150,13 @@ fn main() {
     let jobs = build_workload(&args);
 
     // Determinism gate: the heaviest sweep point must produce the same
-    // bytes at 1 and 8 simulation threads, and run to run.
+    // bytes run to run.
     let heavy = *rates.last().expect("non-empty sweep");
-    let one = serve(&args, heavy, Some(1), &jobs).to_json();
-    let eight = serve(&args, heavy, Some(8), &jobs).to_json();
-    assert_eq!(one, eight, "fault injection diverged across sim-thread counts");
-    let again = serve(&args, heavy, Some(8), &jobs).to_json();
-    assert_eq!(eight, again, "fault injection diverged run to run");
+    let one = serve(&args, heavy, &jobs).to_json();
+    let again = serve(&args, heavy, &jobs).to_json();
+    assert_eq!(one, again, "fault injection diverged run to run");
     println!(
-        "determinism: rate {heavy} ppm identical at 1 and 8 sim threads \
-         (fingerprint {:016x})\n",
+        "determinism: rate {heavy} ppm identical on a rerun (fingerprint {:016x})\n",
         fingerprint(&one)
     );
 
@@ -172,7 +165,7 @@ fn main() {
     let mut baseline_p99 = 1u64;
     let mut baseline_goodput = 0.0f64;
     for (k, &rate) in rates.iter().enumerate() {
-        let report = serve(&args, rate, None, &jobs);
+        let report = serve(&args, rate, &jobs);
         let submitted = report.counters.submitted.max(1);
         let availability = report.counters.completed as f64 / submitted as f64;
         let goodput = report.jobs_per_sec();
@@ -240,7 +233,7 @@ fn main() {
         &format!(
             "{{\n  \"jobs\": {},\n  \"tenants\": {},\n  \"instances\": {},\n  \
              \"seed\": {},\n  \"fault_seed\": {},\n  \"watchdog_cycles\": 50000,\n  \
-             \"thread_determinism_fingerprint\": \"{:016x}\",\n  \"sweep\": [\n{}\n  ]\n}}\n",
+             \"determinism_fingerprint\": \"{:016x}\",\n  \"sweep\": [\n{}\n  ]\n}}\n",
             args.jobs,
             args.tenants,
             args.instances,

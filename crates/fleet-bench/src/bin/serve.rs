@@ -45,9 +45,6 @@ struct Args {
     pattern: String,
     /// Policies for the comparison section: a policy name or `all`.
     policy: String,
-    /// Re-serve every comparison policy at 1 and 8 sim threads and
-    /// assert the reports byte-identical.
-    check_threads: bool,
     /// SLO-workload knobs (the comparison section only).
     slo_rate: f64,
     slo_max_bytes: usize,
@@ -70,7 +67,6 @@ impl Args {
             deadline_frac: 0.0,
             pattern: "poisson".to_string(),
             policy: "all".to_string(),
-            check_threads: false,
             slo_rate: 60_000.0,
             slo_max_bytes: 32 * 1024,
             slo_slack_us: 400,
@@ -98,7 +94,6 @@ impl Args {
                 }
                 "--pattern" => a.pattern = val("poisson|hostile"),
                 "--policy" => a.policy = val("policy name or all"),
-                "--check-threads" => a.check_threads = true,
                 "--slo-rate" => a.slo_rate = val("jobs/sec").parse().expect("--slo-rate"),
                 "--slo-max-bytes" => {
                     a.slo_max_bytes = val("bytes").parse().expect("--slo-max-bytes")
@@ -203,19 +198,11 @@ fn serve_on(instances: usize, args: &Args, jobs: Vec<Job>) -> ServiceReport {
 
 /// Serves the SLO workload under one policy. The batch cap opens to the
 /// full slot budget so fill is the policy's problem, not the config's.
-fn serve_policy(
-    kind: PolicyKind,
-    args: &Args,
-    jobs: Vec<Job>,
-    sim_threads: Option<usize>,
-) -> ServiceReport {
+fn serve_policy(kind: PolicyKind, args: &Args, jobs: Vec<Job>) -> ServiceReport {
     let mut cfg = HostConfig::new(args.instances);
     cfg.max_jobs_per_batch = 64;
     cfg.policy = kind;
     cfg.defer_cap_us = args.slo_defer_cap_us;
-    if let Some(t) = sim_threads {
-        cfg.system.sim_threads = fleet_system::SimThreads::Fixed(t);
-    }
     for t in 0..args.tenants {
         cfg.weights.push((t, 1 + t % 3));
     }
@@ -308,24 +295,8 @@ fn main() {
 
     let mut prows: Vec<PolicyRow> = Vec::new();
     for kind in kinds {
-        let r = serve_policy(kind, &args, slo_jobs.clone(), None);
+        let r = serve_policy(kind, &args, slo_jobs.clone());
         let rjson = r.to_json();
-        if args.check_threads {
-            let one = serve_policy(kind, &args, slo_jobs.clone(), Some(1));
-            let eight = serve_policy(kind, &args, slo_jobs.clone(), Some(8));
-            assert_eq!(
-                one.to_json(),
-                eight.to_json(),
-                "{} diverged across sim-thread counts",
-                kind.name()
-            );
-            assert_eq!(
-                one.to_json(),
-                rjson,
-                "{} diverged from the default-thread serve",
-                kind.name()
-            );
-        }
         let accounted = r.completed.len() + r.rejected.len() + r.failed.len();
         assert_eq!(
             accounted as u64, r.counters.submitted,
@@ -387,9 +358,6 @@ fn main() {
         ],
         &rows,
     );
-    if args.check_threads {
-        println!("\nthread determinism: every policy byte-identical at 1 and 8 sim threads");
-    }
 
     // ---- defer-fill study ------------------------------------------
     // Deferral buys fill at moderate load with slack to spare, not
@@ -397,17 +365,8 @@ fn main() {
     // same hostile shape, lower rate, generous slack.
     let fill_study = if args.policy == "all" || args.policy == "defer_fill" {
         let fill_jobs = build_fill_workload(&args);
-        let base = serve_policy(PolicyKind::FirstFit, &args, fill_jobs.clone(), None);
-        let defer = serve_policy(PolicyKind::DeferFill, &args, fill_jobs.clone(), None);
-        if args.check_threads {
-            let one = serve_policy(PolicyKind::DeferFill, &args, fill_jobs.clone(), Some(1));
-            let eight = serve_policy(PolicyKind::DeferFill, &args, fill_jobs, Some(8));
-            assert_eq!(
-                one.to_json(),
-                eight.to_json(),
-                "defer_fill (fill study) diverged across sim-thread counts"
-            );
-        }
+        let base = serve_policy(PolicyKind::FirstFit, &args, fill_jobs.clone());
+        let defer = serve_policy(PolicyKind::DeferFill, &args, fill_jobs);
         let base_fill = base.counters.slot_fill();
         let defer_fill = defer.counters.slot_fill();
         let fill_ratio = defer_fill / base_fill.max(f64::MIN_POSITIVE);

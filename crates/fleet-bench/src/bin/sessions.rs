@@ -11,9 +11,8 @@
 //! heavy-tailed: mostly tiny appends with a long tail of large ones.
 //!
 //! The bench is a determinism gate as well as a measurement: the full
-//! run is repeated at 1 and 8 simulation threads plus a rerun, and the
-//! three report JSONs must be byte-identical before anything is
-//! written.
+//! run is repeated, and the two report JSONs must be byte-identical
+//! before anything is written.
 //!
 //! ```text
 //! cargo run -p fleet-bench --bin sessions --release -- --smoke
@@ -23,7 +22,6 @@ use fleet_apps::{App, AppKind};
 use fleet_bench::workload::{self, fingerprint};
 use fleet_bench::{print_table, write_bench_json};
 use fleet_host::{Host, HostConfig, MixedArrivals, ServiceReport};
-use fleet_system::SimThreads;
 
 #[derive(Debug, Clone)]
 struct Args {
@@ -117,13 +115,10 @@ impl Args {
     }
 }
 
-fn serve(args: &Args, threads: Option<usize>) -> ServiceReport {
+fn serve(args: &Args) -> ServiceReport {
     let events = workload::session_arrivals(&args.load(), &App::new(AppKind::Bloom));
     let mut cfg = HostConfig::new(args.instances);
     cfg.session_idle_evict_us = args.evict_us;
-    if let Some(t) = threads {
-        cfg.system.sim_threads = SimThreads::Fixed(t);
-    }
     Host::new(cfg).serve_arrivals(MixedArrivals::new(events))
 }
 
@@ -139,16 +134,11 @@ fn main() {
         if args.smoke { " (smoke)" } else { "" }
     );
 
-    // Determinism gate: the identical timeline at 1 and 8 simulation
-    // threads, plus a rerun, must produce byte-identical reports.
-    let report = serve(&args, Some(1));
+    // Determinism gate: the identical timeline served twice must
+    // produce byte-identical reports.
+    let report = serve(&args);
     let json = report.to_json();
-    let json_8t = serve(&args, Some(8)).to_json();
-    assert_eq!(
-        json, json_8t,
-        "session serving diverged between 1 and 8 simulation threads"
-    );
-    let json_rerun = serve(&args, Some(1)).to_json();
+    let json_rerun = serve(&args).to_json();
     assert_eq!(json, json_rerun, "session serving diverged across reruns");
 
     let sc = &report.counters.sessions;
@@ -178,7 +168,7 @@ fn main() {
         vec!["makespan (µs)".into(), report.makespan_us.to_string()],
     ];
     print_table(&["Counter", "Value"], &rows);
-    println!("\nthreads 1 vs 8: byte-identical reports");
+    println!("\nrerun: byte-identical report");
     println!("fingerprint: {:016x}", fingerprint(&json));
 
     write_bench_json(
@@ -188,7 +178,7 @@ fn main() {
              \"seed\": {},\n  \"chunks_per_session\": {},\n  \"smoke\": {},\n  \
              \"peak_open\": {},\n  \"completed\": {},\n  \"backpressure\": {},\n  \
              \"evictions\": {},\n  \"readmissions\": {},\n  \"makespan_us\": {},\n  \
-             \"thread_determinism_fingerprint\": \"{:016x}\",\n  \"report\": {}}}\n",
+             \"determinism_fingerprint\": \"{:016x}\",\n  \"report\": {}}}\n",
             args.sessions,
             args.tenants,
             args.instances,

@@ -4,8 +4,8 @@
 //!
 //! This tracks the *simulator's* performance, not the modelled FPGA's:
 //! every optimization to the channel-engine hot path (shared compiled
-//! programs, quiescent-PU skipping, slice-copy burst delivery, sharded
-//! parallel PU evaluation) shows up here, and the cycle-exactness tests
+//! programs, quiescent-PU skipping, slice-copy burst delivery, lane
+//! batching) shows up here, and the cycle-exactness tests
 //! guarantee none of them change a single simulated cycle.
 //!
 //! Each app runs at its paper PU count with `FLEET_BYTES_PER_PU` input
@@ -19,16 +19,9 @@
 //! - `--smoke`: bounded CI configuration (32 PUs per app, small streams).
 //! - `--compare-naive`: also drive fresh engines through the naive
 //!   reference tick (every PU evaluated every cycle, per-byte copies)
-//!   and report the speedup of the *serial* fast path over it, at
-//!   every `--threads` value; asserts both paths simulate the same
-//!   number of cycles.
-//! - `--threads <N|auto>`: size of the shared simulation worker pool
-//!   (default 1 = the serial drive, like `SystemConfig::f1`; `auto` =
-//!   host parallelism). With more than one thread the
-//!   headline numbers come from the pooled sharded drive, a serial
-//!   baseline is also timed, and the run *asserts* that both drives
-//!   simulate identical cycles and produce byte-identical outputs (via
-//!   an output fingerprint) — the determinism check CI leans on.
+//!   and report the speedup of the fast path over it; asserts both
+//!   paths simulate the same number of cycles and produce byte-identical
+//!   outputs (via an output fingerprint).
 //!
 //! Writes `BENCH_simperf.json` via `write_bench_json`.
 
@@ -37,33 +30,28 @@ use std::time::Instant;
 use fleet_apps::{App, AppKind};
 use fleet_bench::{print_table, scale, write_bench_json};
 use fleet_compiler::CompiledUnit;
-use fleet_system::{build_system_engines, SimPool, SimThreads, SystemConfig};
+use fleet_system::{build_system_engines, SystemConfig};
 
 /// Hard cap on simulated cycles per channel; experiment inputs are sized
 /// so hitting it is a bug, not an expected outcome.
 const MAX_CYCLES: u64 = 500_000_000;
 
 #[derive(Clone, Copy)]
-enum DriveMode<'p> {
-    Serial,
+enum DriveMode {
+    Fast,
     Naive,
-    Pooled(&'p SimPool),
 }
 
 struct AppRun {
     name: &'static str,
     pus: usize,
     input_bytes: u64,
-    /// Headline drive: pooled when the pool has >1 worker, else serial.
     sim_cycles: u64,
     wall_seconds: f64,
-    /// Cycles the headline drive advanced in bulk via the event-driven
+    /// Cycles the fast drive advanced in bulk via the event-driven
     /// clock (a subset of `sim_cycles`; the naive reference never
     /// skips).
     cycles_skipped: u64,
-    /// Serial-baseline (cycles, wall) — present only when the headline
-    /// drive was pooled, for the thread-speedup column.
-    serial: Option<(u64, f64)>,
     naive: Option<(u64, f64)>,
 }
 
@@ -77,23 +65,13 @@ impl AppRun {
     fn gb_per_wall_sec(&self) -> f64 {
         self.input_bytes as f64 / self.wall_seconds / 1e9
     }
-    fn serial_mcycles_per_sec(&self) -> Option<f64> {
-        self.serial.map(|(c, w)| c as f64 / w / 1e6)
-    }
-    /// Pooled ÷ serial: what the worker pool adds (or costs).
-    fn thread_speedup(&self) -> Option<f64> {
-        self.serial_mcycles_per_sec().map(|s| self.mcycles_per_sec() / s)
-    }
     fn naive_mcycles_per_sec(&self) -> Option<f64> {
         self.naive.map(|(c, w)| c as f64 / w / 1e6)
     }
-    /// Serial fast path ÷ naive reference tick: what lane batching,
-    /// quiescence skipping and the event-driven clock buy on one
-    /// thread. Always taken from the serial drive — the only run when
-    /// no pool ran — so the pool's scheduling cost never leaks into it.
+    /// Fast path ÷ naive reference tick: what lane batching,
+    /// quiescence skipping and the event-driven clock buy.
     fn speedup(&self) -> Option<f64> {
-        let serial = self.serial_mcycles_per_sec().unwrap_or_else(|| self.mcycles_per_sec());
-        self.naive_mcycles_per_sec().map(|n| serial / n)
+        self.naive_mcycles_per_sec().map(|n| self.mcycles_per_sec() / n)
     }
 }
 
@@ -102,7 +80,7 @@ impl AppRun {
 /// output fingerprint, cycles skipped). The fingerprint is FNV-1a over
 /// every unit's committed output bytes in unit order — computed after
 /// the clock stops, so hashing never pollutes the throughput number.
-/// The serial drive goes through `run_channel` (like every production
+/// The fast drive goes through `run_channel` (like every production
 /// caller), so it benefits from lane batching and the event-driven
 /// clock; the naive reference ticks manually, evaluating every PU
 /// every cycle.
@@ -110,7 +88,7 @@ fn drive(
     unit: &CompiledUnit,
     streams: &[&[u8]],
     cfg: &SystemConfig,
-    mode: DriveMode<'_>,
+    mode: DriveMode,
 ) -> (u64, f64, u64, u64) {
     let (mut engines, maps) = build_system_engines(unit, streams, cfg);
     let start = Instant::now();
@@ -118,14 +96,8 @@ fn drive(
     let mut skipped = 0u64;
     for eng in engines.iter_mut() {
         match mode {
-            DriveMode::Pooled(pool) => {
-                // Channels run one after another here, so each gets the
-                // whole pool's worth of shards.
-                eng.run_channel(MAX_CYCLES, Some(pool), pool.workers())
-                    .expect("simperf pooled run failed");
-            }
-            DriveMode::Serial => {
-                eng.run_channel(MAX_CYCLES, None, 1).expect("simperf serial run failed");
+            DriveMode::Fast => {
+                eng.run_channel(MAX_CYCLES, None, 1).expect("simperf fast run failed");
             }
             DriveMode::Naive => {
                 while !eng.done() {
@@ -154,35 +126,17 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut compare_naive = false;
-    let mut threads_cfg = SimThreads::Fixed(1);
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in &args {
+        match arg.as_str() {
             "--smoke" => smoke = true,
             "--compare-naive" => compare_naive = true,
-            "--threads" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| panic!("--threads needs a value: a count or `auto`"));
-                threads_cfg = SimThreads::parse(v)
-                    .unwrap_or_else(|| panic!("bad --threads value {v:?}: want a count or `auto`"));
-            }
-            other => panic!(
-                "unknown flag {other}; simperf takes --smoke, --compare-naive \
-                 and/or --threads <N|auto>"
-            ),
+            other => panic!("unknown flag {other}; simperf takes --smoke and/or --compare-naive"),
         }
-        i += 1;
     }
 
-    let threads = threads_cfg.resolve();
-    let host_parallelism =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Every app below runs the F1 system configuration, so the SIMD
     // evaluation lane width is uniform across the report.
     let lanes = SystemConfig::f1(1).memctl.lane_width;
-    let pool = (threads > 1).then(|| SimPool::new(SimThreads::Fixed(threads)));
 
     let bytes_per_pu: usize = std::env::var("FLEET_BYTES_PER_PU")
         .ok()
@@ -195,10 +149,8 @@ fn main() {
             }
         });
     println!(
-        "# simperf: simulator throughput — {} B per unit, {} sim thread{}{}{}\n",
+        "# simperf: simulator throughput — {} B per unit{}{}\n",
         bytes_per_pu,
-        threads,
-        if threads == 1 { "" } else { "s" },
         if smoke { ", smoke configuration" } else { "" },
         if compare_naive { ", vs naive reference tick" } else { "" },
     );
@@ -219,40 +171,24 @@ fn main() {
         let cfg = SystemConfig::f1(out_cap);
         let unit = CompiledUnit::new(&app.spec());
 
-        let (serial_cycles, serial_wall, serial_fp, serial_skipped) =
-            drive(&unit, &refs, &cfg, DriveMode::Serial);
-        let pooled = pool.as_ref().map(|pool| {
-            let (c, w, fp, skipped) = drive(&unit, &refs, &cfg, DriveMode::Pooled(pool));
-            assert_eq!(
-                serial_cycles, c,
-                "{}: pooled and serial engines must simulate identical cycles",
-                app.name()
-            );
-            assert_eq!(
-                serial_fp, fp,
-                "{}: pooled output fingerprint must match the serial drive",
-                app.name()
-            );
-            (c, w, skipped)
-        });
+        let (sim_cycles, wall_seconds, fast_fp, cycles_skipped) =
+            drive(&unit, &refs, &cfg, DriveMode::Fast);
         let naive = compare_naive.then(|| {
             let (naive_cycles, naive_wall, naive_fp, _) =
                 drive(&unit, &refs, &cfg, DriveMode::Naive);
             assert_eq!(
-                serial_cycles, naive_cycles,
+                sim_cycles, naive_cycles,
                 "{}: naive and optimized engines must simulate identical cycles",
                 app.name()
             );
             assert_eq!(
-                serial_fp, naive_fp,
+                fast_fp, naive_fp,
                 "{}: naive output fingerprint must match the optimized drive",
                 app.name()
             );
             (naive_cycles, naive_wall)
         });
 
-        let (sim_cycles, wall_seconds, cycles_skipped) =
-            pooled.unwrap_or((serial_cycles, serial_wall, serial_skipped));
         runs.push(AppRun {
             name: app.name(),
             pus,
@@ -260,7 +196,6 @@ fn main() {
             sim_cycles,
             wall_seconds,
             cycles_skipped,
-            serial: pooled.is_some().then_some((serial_cycles, serial_wall)),
             naive,
         });
     }
@@ -275,7 +210,6 @@ fn main() {
                 format!("{:.2}", r.sim_cycles as f64 / 1e6),
                 format!("{:.2}", r.mcycles_per_sec()),
                 format!("{:.3}", r.gb_per_wall_sec()),
-                r.thread_speedup().map_or("-".into(), |s| format!("{s:.2}x")),
                 r.naive_mcycles_per_sec().map_or("-".into(), |n| format!("{n:.2}")),
                 r.speedup().map_or("-".into(), |s| format!("{s:.2}x")),
             ]
@@ -289,7 +223,6 @@ fn main() {
             "Sim Mcycles",
             "Mcycles/s",
             "GB/wall-s",
-            "Pool speedup",
             "Naive Mcycles/s",
             "Speedup",
         ],
@@ -304,7 +237,6 @@ fn main() {
                  \"sim_cycles\": {}, \"cycles_skipped\": {}, \"wall_seconds\": {:.6}, \
                  \"mcycles_per_sec\": {:.6}, \"kcycles_per_sec\": {:.3}, \
                  \"gb_per_wall_sec\": {:.6}, \
-                 \"serial_mcycles_per_sec\": {}, \"thread_speedup\": {}, \
                  \"naive_mcycles_per_sec\": {}, \"speedup\": {}}}",
                 r.name,
                 r.pus,
@@ -315,8 +247,6 @@ fn main() {
                 r.mcycles_per_sec(),
                 r.kcycles_per_sec(),
                 r.gb_per_wall_sec(),
-                r.serial_mcycles_per_sec().map_or("null".into(), |s| format!("{s:.6}")),
-                r.thread_speedup().map_or("null".into(), |s| format!("{s:.3}")),
                 r.naive_mcycles_per_sec().map_or("null".into(), |n| format!("{n:.6}")),
                 r.speedup().map_or("null".into(), |s| format!("{s:.3}")),
             )
@@ -326,7 +256,6 @@ fn main() {
         "simperf",
         &format!(
             "{{\n  \"bytes_per_pu\": {bytes_per_pu},\n  \"smoke\": {smoke},\n  \
-             \"threads\": {threads},\n  \"host_parallelism\": {host_parallelism},\n  \
              \"lanes\": {lanes},\n  \
              \"apps\": [\n{}\n  ]\n}}\n",
             json_rows.join(",\n")
@@ -342,7 +271,7 @@ fn main() {
         );
         // Attribute the win: how much of each app's simulated time the
         // event-driven clock covered in bulk instead of ticking.
-        println!("cycles skipped by the event-driven clock (headline drive):");
+        println!("cycles skipped by the event-driven clock:");
         for r in &runs {
             println!(
                 "  {}: {} of {} cycles skipped ({:.1}%)",

@@ -8,8 +8,7 @@
 //! failover) happens at an event time and iterates hosts and instances
 //! in `(virtual time, host id, instance id)` order, so the whole serve
 //! is a pure function of the configuration and arrival stream: reports
-//! are byte-identical at any engine sim-thread count and across
-//! reruns.
+//! are byte-identical across reruns.
 //!
 //! **Routing.** Arrivals go to the healthy host minimizing predicted
 //! pressure — the queue's predicted backlog (each queued job's
@@ -34,8 +33,7 @@
 //!
 //! Two execution backends share all of that control logic:
 //! [`Backend::Engine`] runs every batch through the cycle-accurate
-//! [`fleet_system::Instance`] (fidelity; the determinism tests vary
-//! its sim-thread count), while [`Backend::Model`] derives batch run
+//! [`fleet_system::Instance`] (fidelity), while [`Backend::Model`] derives batch run
 //! times from the structural predictor seed, a hidden per-spec
 //! slowdown, and pure-hash fault decisions — fast enough for
 //! million-job benches while exercising the identical
@@ -113,7 +111,7 @@ pub struct ClusterConfig {
     /// Cap on area-fitted PU slots per instance.
     pub pu_slot_cap: usize,
     /// Platform/controller model shared by every instance. Engine mode
-    /// also takes `sim_threads` and `watchdog_cycles` from here.
+    /// also takes `watchdog_cycles` from here.
     pub system: SystemConfig,
     /// Execution backend for launched batches.
     pub backend: Backend,

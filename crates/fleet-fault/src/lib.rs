@@ -4,11 +4,10 @@
 //! spikes, correctable ECC bit flips, wedged processing units) and at
 //! *what rate*, without ever holding mutable RNG state. Every fault
 //! decision is a pure hash of `(seed, site kind, site index)`, so the
-//! same plan produces the same faults no matter how many simulation
-//! threads run, how the active worklist is sharded, or in what order
-//! channels are evaluated. That purity is what lets the serving layer
-//! promise byte-identical reports for a fixed fault seed at 1 and 8
-//! sim threads.
+//! same plan produces the same faults no matter in what order channels
+//! are evaluated or which thread runs them. That purity is what lets
+//! the serving layer promise byte-identical reports for a fixed fault
+//! seed, run to run.
 //!
 //! The crate is dependency-free on purpose: `fleet-axi` (which itself
 //! has no dependencies) hooks fault decisions into its DRAM timing
@@ -171,8 +170,8 @@ impl Default for FaultPlan {
 /// Per-channel DRAM fault decisions, derived from a [`FaultPlan`].
 ///
 /// Decisions are keyed by deterministic per-channel counters (read
-/// request index, delivered beat index), which advance identically at
-/// every sim-thread count, so injection sites are stable.
+/// request index, delivered beat index), which advance identically on
+/// every run, so injection sites are stable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramFaults {
     seed: u64,

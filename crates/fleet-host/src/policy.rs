@@ -27,7 +27,8 @@
 //!
 //! Every decision consumes only virtual-clock state and
 //! [`Predictor`] models (themselves virtual-clock-deterministic), so
-//! any policy's serve stays bit-identical across sim-thread counts.
+//! any policy's serve stays bit-identical run to run, whatever order
+//! the instance workers finish in.
 
 use std::fmt;
 

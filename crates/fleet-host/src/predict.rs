@@ -15,9 +15,10 @@
 //! [`Predictor::apply_due`], which absorbs buffered observations in
 //! `(completed_at_us, instance)` order — a pure function of the
 //! virtual timeline — so predictions (and every scheduling decision
-//! derived from them) are bit-identical at any sim-thread count. A
-//! batch that completes at virtual time `t` can influence decisions
-//! only at virtual times `>= t`, exactly as on real hardware.
+//! derived from them) are bit-identical run to run, whatever order the
+//! instance workers finish in. A batch that completes at virtual time
+//! `t` can influence decisions only at virtual times `>= t`, exactly as
+//! on real hardware.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

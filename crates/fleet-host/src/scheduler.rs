@@ -20,9 +20,7 @@ use std::sync::Arc;
 use fleet_compiler::CompiledUnit;
 use fleet_fault::FaultPlan;
 use fleet_session::{Session, SessionId, SessionRecord, SessionState};
-use fleet_system::{
-    max_units, Instance, RunFailure, RunReport, SimPool, SystemConfig, SystemError,
-};
+use fleet_system::{max_units, Instance, RunFailure, RunReport, SystemConfig, SystemError};
 use fleet_trace::SchedCounters;
 
 use crate::arrival::{Arrival, ArrivalSource, VecArrivals};
@@ -148,19 +146,11 @@ pub struct Host {
     /// once per spec on the scheduler thread, and every batch replicates
     /// executors from the shared program instead of recompiling.
     compiled_cache: BTreeMap<Arc<str>, CompiledUnit>,
-    /// One process-wide simulation worker pool, sized by
-    /// [`SystemConfig::sim_threads`] and shared by every instance: the
-    /// per-batch scoped coordinators submit their PU-evaluation shards
-    /// here, so concurrent batches never stack nested compute threads
-    /// and the evaluation work in flight is bounded by the pool no
-    /// matter how many instances run at once.
-    pool: Arc<SimPool>,
 }
 
 impl Host {
     /// Creates a host with the given configuration.
     pub fn new(cfg: HostConfig) -> Host {
-        let pool = Arc::new(SimPool::new(cfg.system.sim_threads));
         let policy = cfg.policy.build();
         let predictor = Predictor::new(cfg.system.platform.clock_hz as u64);
         Host {
@@ -169,7 +159,6 @@ impl Host {
             predictor,
             slot_cache: BTreeMap::new(),
             compiled_cache: BTreeMap::new(),
-            pool,
         }
     }
 
@@ -244,7 +233,7 @@ impl Host {
         let mut failed: Vec<FailedJob> = Vec::new();
 
         let mut instances: Vec<Instance> = (0..self.cfg.instances)
-            .map(|i| Instance::new(i, self.cfg.system).with_pool(self.pool.clone()))
+            .map(|i| Instance::new(i, self.cfg.system))
             .collect();
         let n = instances.len();
         let mut busy_until: Vec<Option<u64>> = vec![None; n];
@@ -791,10 +780,9 @@ impl Host {
             retries.sort_by_key(|(ready, job)| (*ready, job.id));
 
             // Advance the chosen sessions, serially on the scheduler
-            // thread (each engine still shards its PU evaluation across
-            // the shared pool). A quantum costs pack (ingest setup) +
-            // simulated run + output drain on the virtual clock, like a
-            // batch of the same shape.
+            // thread. A quantum costs pack (ingest setup) + simulated
+            // run + output drain on the virtual clock, like a batch of
+            // the same shape.
             for i in 0..n {
                 let Some((_, sid)) = session_for[i] else { continue };
                 let s = sessions.get_mut(&sid).expect("servicing a resident session");
@@ -998,27 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_is_bit_identical_across_sim_thread_counts() {
-        // The shared shard pool must never leak wall-clock scheduling
-        // into the report: any thread budget gives the same bytes.
-        let spec = identity_spec();
-        let serve_with = |threads| {
-            let mut cfg = HostConfig::new(2);
-            cfg.system.sim_threads = fleet_system::SimThreads::Fixed(threads);
-            let mut host = Host::new(cfg);
-            host.serve(workload(&spec, 16, 3))
-        };
-        let one = serve_with(1);
-        for threads in [2usize, 4] {
-            assert_eq!(
-                one.to_json(),
-                serve_with(threads).to_json(),
-                "{threads}-thread serve diverged from serial"
-            );
-        }
-    }
-
-    #[test]
     fn serve_is_deterministic() {
         let spec = identity_spec();
         let run = || {
@@ -1130,13 +1097,9 @@ mod tests {
             let inputs: u64 = done.input_bytes;
             assert_eq!(done.output_bytes, inputs, "identity outputs stay intact");
         }
-        // Identical faults, identical report — at any sim-thread count.
-        let serve_with = |threads| {
-            let mut cfg = base();
-            cfg.system.sim_threads = fleet_system::SimThreads::Fixed(threads);
-            Host::new(cfg).serve(workload(&spec, 16, 3))
-        };
-        assert_eq!(serve_with(1).to_json(), serve_with(8).to_json());
+        // Identical faults, identical report on a rerun.
+        let again = Host::new(base()).serve(workload(&spec, 16, 3));
+        assert_eq!(report.to_json(), again.to_json());
     }
 
     #[test]
@@ -1257,13 +1220,11 @@ mod tests {
     }
 
     #[test]
-    fn session_serve_is_bit_identical_across_sim_thread_counts() {
+    fn session_serve_reruns_bit_identically() {
         use crate::arrival::{Arrival, MixedArrivals};
         let spec = identity_spec();
-        let serve_with = |threads: usize| {
-            let mut cfg = HostConfig::new(2);
-            cfg.system.sim_threads = fleet_system::SimThreads::Fixed(threads);
-            let mut host = Host::new(cfg);
+        let serve = || {
+            let mut host = Host::new(HostConfig::new(2));
             let mut events: Vec<Arrival> =
                 workload(&spec, 8, 2).into_iter().map(Arrival::Job).collect();
             for sid in 0..6u64 {
@@ -1283,15 +1244,9 @@ mod tests {
             }
             host.serve_arrivals(MixedArrivals::new(events))
         };
-        let one = serve_with(1);
+        let one = serve();
         assert_eq!(one.counters.sessions.completed, 6);
-        for threads in [2usize, 8] {
-            assert_eq!(
-                one.to_json(),
-                serve_with(threads).to_json(),
-                "{threads}-thread session serve diverged from serial"
-            );
-        }
+        assert_eq!(one.to_json(), serve().to_json(), "session serve diverged on a rerun");
     }
 
     #[test]

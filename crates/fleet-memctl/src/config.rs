@@ -2,6 +2,11 @@
 
 use fleet_compiler::MAX_LANES;
 
+/// The most burst registers per direction: the fast input controller
+/// decides which draining registers hold a unit's oldest burst in one
+/// `u128` bitmask, one bit per register.
+pub(crate) const MAX_BURST_REGISTERS: usize = u128::BITS as usize;
+
 /// Input/output addressing-unit behaviour.
 ///
 /// Blocking units wait at each processing unit in round-robin order until
@@ -107,14 +112,19 @@ impl MemCtlConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero sizes, a burst that is not whole 64-byte beats, or
-    /// a lane width outside `1..=MAX_LANES`.
+    /// Panics on zero sizes, a burst that is not whole 64-byte beats,
+    /// more than 128 burst registers, or a lane width outside
+    /// `1..=MAX_LANES`.
     pub fn check(&self) {
         assert!(self.burst_bytes > 0 && self.burst_bytes.is_multiple_of(fleet_axi::BEAT_BYTES),
             "burst must be a whole number of 512-bit beats");
         assert!(self.port_width_bits >= 8 && self.port_width_bits.is_multiple_of(8),
             "port width must be whole bytes");
-        assert!(self.burst_registers >= 1, "need at least one burst register");
+        assert!(
+            (1..=MAX_BURST_REGISTERS).contains(&self.burst_registers),
+            "burst_registers {} outside 1..={MAX_BURST_REGISTERS} (the input controller's oldest-burst mask)",
+            self.burst_registers
+        );
         assert!(self.input_buffer_bytes >= self.burst_bytes,
             "input buffer must hold at least one burst");
         assert!(self.output_buffer_bytes >= self.burst_bytes,
@@ -135,5 +145,11 @@ mod tests {
     #[should_panic(expected = "lane_width 65 outside 1..=64")]
     fn check_rejects_a_lane_width_one_sweep_cannot_hold() {
         MemCtlConfig { lane_width: MAX_LANES + 1, ..MemCtlConfig::default() }.check();
+    }
+
+    #[test]
+    #[should_panic(expected = "burst_registers 129 outside 1..=128")]
+    fn check_rejects_more_burst_registers_than_the_oldest_burst_mask_holds() {
+        MemCtlConfig { burst_registers: 129, ..MemCtlConfig::default() }.check();
     }
 }

@@ -32,26 +32,23 @@
 //! behaviour is kept as [`ChannelEngine::tick_naive`] so equivalence is
 //! testable and benchmarkable.
 //!
-//! ## Parallel evaluation (deterministic)
+//! ## Evaluate, then apply
 //!
-//! Each cycle splits into two phases:
+//! One unit's cycle is two steps:
 //!
-//! 1. **Evaluate** (`eval_unit`): runs one unit's combinational +
-//!    clocked step against an immutable snapshot of its own
-//!    controller-side state (`PuState`), mutating only the unit itself
-//!    and its lane, and returns a compact effect record (`PuEffect`). A
-//!    unit's evaluation reads nothing but its own state, so any
-//!    partition of the worklist evaluates independently.
-//! 2. **Merge** (`Ctl::apply_effect`): applies effects *in ascending
-//!    unit index order* — buffer pops/pushes, stats, trace probes,
-//!    finish/sleep transitions — exactly the order the serial loop
-//!    interleaves them.
+//! 1. **Evaluate** (`eval_unit`): runs the unit's combinational +
+//!    clocked step against its own controller-side state (`PuState`,
+//!    read shared), mutating only the unit itself and its lane, and
+//!    returns a compact effect record (`PuEffect`).
+//! 2. **Apply** (`Ctl::apply_effect`): performs the record's
+//!    controller-side mutations — buffer pops/pushes, stats, trace
+//!    probes, finish/sleep transitions — with `pus` borrowed mutably.
 //!
-//! The serial [`ChannelEngine::tick`] fuses the two phases per unit
-//! (zero overhead); [`ChannelEngine::run_channel`] with a
-//! [`SimPool`](crate::pool::SimPool) runs phase 1 on sharded worker
-//! threads (see `par.rs`) and phase 2 serially, producing bit-identical
-//! cycles, outputs, stats, and trace counters at every thread count.
+//! The split keeps the unit's evaluation from holding a mutable borrow
+//! of the state the controllers own, and it is the one pair both
+//! [`ChannelEngine::tick`] and [`ChannelEngine::tick_naive`] call, unit
+//! by unit in ascending index order, so the two drives cannot disagree
+//! about what a unit's handshake does.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -62,7 +59,7 @@ use fleet_trace::{
     SignalId, TraceSink,
 };
 
-use crate::config::{Addressing, MemCtlConfig};
+use crate::config::{Addressing, MemCtlConfig, MAX_BURST_REGISTERS};
 use crate::lanes::{lane_preeval, LaneGroups};
 use crate::unit::StreamUnit;
 
@@ -186,10 +183,8 @@ impl ByteFifo {
     }
 }
 
-/// Per-unit controller-side state. During a pooled run the whole vector
-/// lives in an `Arc` that alternates between the shard workers (shared,
-/// read-only) and the serial merge phase (exclusively reclaimed via
-/// `Arc::get_mut` once every worker has replied).
+/// Per-unit controller-side state: everything about a unit the
+/// controllers read and write, kept apart from the unit itself.
 #[derive(Debug)]
 pub(crate) struct PuState {
     pub(crate) assign: StreamAssignment,
@@ -267,8 +262,7 @@ pub struct EngineStats {
     pub cycles: u64,
 }
 
-/// Token geometry a unit evaluation needs — `Copy`, so shard workers
-/// carry it by value.
+/// Token geometry a unit evaluation needs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EvalParams {
     pub(crate) in_token_bytes: usize,
@@ -279,27 +273,27 @@ pub(crate) struct EvalParams {
 }
 
 /// The compact record of one unit's evaluation for one cycle: everything
-/// the serial merge phase needs to replay the unit's shared-state
-/// mutations in index order.
+/// [`Ctl::apply_effect`] needs to perform the unit's controller-side
+/// mutations (see the module docs, "Evaluate, then apply").
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PuEffect {
-    pub(crate) pu: u32,
+struct PuEffect {
+    pu: u32,
     /// Output token value (meaningful when `emitted`).
-    pub(crate) token: u64,
+    token: u64,
     /// This cycle's class for the unit (Busy / StallIn / StallOut).
-    pub(crate) class: CycleClass,
+    class: CycleClass,
     /// `Some(class)` when the unit parked itself (finished → Drained,
     /// quiescent → StallIn/StallOut); `None` keeps it on the worklist.
-    pub(crate) sleep: Option<CycleClass>,
+    sleep: Option<CycleClass>,
     /// Popped one input token.
-    pub(crate) consumed: bool,
+    consumed: bool,
     /// Pushed one output token.
-    pub(crate) emitted: bool,
+    emitted: bool,
     /// Raised `output_finished` this cycle.
-    pub(crate) finished: bool,
+    finished: bool,
     /// Handshake pins for waveform probes:
     /// `[in_valid, in_ready, out_valid, out_ready]`.
-    pub(crate) signals: [bool; 4],
+    signals: [bool; 4],
 }
 
 /// First set bit at or (circularly) after `start`, over a bitset read
@@ -366,25 +360,23 @@ pub(crate) fn pins_of(st: &PuState, params: &EvalParams) -> PuIn {
     }
 }
 
-/// Phase 1 of a cycle for one unit: combinational evaluation + clock
-/// (one fused step, [`PuExec::clock_retired`], when the unit is
+/// The evaluate step of a cycle for one unit: combinational evaluation
+/// and clock (one fused step, [`PuExec::clock_retired`], when the unit is
 /// resident in one of `lanes`' groups and the cycle's sweep retired it),
 /// touching only `unit` itself and its lane, and reading `st`
-/// immutably. Returns the effect record for the serial merge. A unit
-/// that leaves the per-unit path with an evaluation pending is noted as
-/// a joiner for the next sweep. `base` is the global index of the
-/// scope's first unit.
+/// immutably. Returns the effect record for [`Ctl::apply_effect`]. A
+/// unit that leaves the per-unit path with an evaluation pending is
+/// noted as a joiner for the next sweep.
 ///
 /// `reference` selects the seed-faithful reference program (the naive
 /// tick) and disables sleeping; the fast paths pass `false`.
 #[inline]
-pub(crate) fn eval_unit<U: StreamUnit>(
+fn eval_unit<U: StreamUnit>(
     p: usize,
     unit: &mut U,
     st: &PuState,
     params: &EvalParams,
     lanes: &mut LaneGroups,
-    base: usize,
     reference: bool,
 ) -> PuEffect {
     // The fast paths run units on their optimized evaluation path; the
@@ -392,7 +384,7 @@ pub(crate) fn eval_unit<U: StreamUnit>(
     // comparisons are honest. Both are cycle-exact.
     unit.set_reference_eval(reference);
     let pins = pins_of(st, params);
-    let home = lanes.home(p - base);
+    let home = lanes.home(p);
     let retired = home.and_then(|(g, l)| {
         let x = unit.lane_exec_mut().expect("resident units have a lane executor");
         x.clock_retired(lanes.group_mut(g), l, &pins)
@@ -492,10 +484,9 @@ pub(crate) fn merge_sorted_slice(dst: &mut Vec<usize>, src: &[usize]) {
 /// Everything in a channel *except* the units, the per-unit state, and
 /// the active worklist: the controllers, DRAM, stats, and trace probe.
 ///
-/// Controller methods take `pus` as a parameter instead of owning it so
-/// the serial tick can split-borrow the engine while the pooled run
-/// (see `par.rs`) works with the unit state living outside the engine
-/// for the duration of the run.
+/// Controller methods take `pus` (and, where a wake must replay a
+/// sleeper's skipped span, `units`) as parameters instead of owning
+/// them, so the ticks can split-borrow the engine.
 #[derive(Debug)]
 pub(crate) struct Ctl<S: TraceSink> {
     pub(crate) cfg: MemCtlConfig,
@@ -544,11 +535,6 @@ pub(crate) struct Ctl<S: TraceSink> {
     /// cycle (a "wake storm"). Lets tests prove a workload actually
     /// exercised multi-wake merges.
     pub(crate) woken_peak: usize,
-    /// Pooled mode only: `skip_cycles` spans owed to units whose state
-    /// currently lives with a shard worker, `(unit, span)`. Applied by
-    /// the owning worker just before the unit's next evaluation, or
-    /// drained onto the units at run teardown.
-    pub(crate) pending_skips: Vec<(usize, u64)>,
     /// Units whose output side is not yet complete (see
     /// [`ChannelEngine::done`]).
     pub(crate) pending_outputs: usize,
@@ -645,8 +631,8 @@ pub struct ChannelEngine<U, S: TraceSink = NullSink> {
     /// Quiescence-skipping worklist (kept sorted so units are evaluated
     /// in index order, like the naive all-units loop).
     pub(crate) active: Vec<usize>,
-    /// The serial tick's lane groups (pooled runs keep theirs per
-    /// shard): resident units' registers live there between cycles.
+    /// The lane groups: resident units' registers live there between
+    /// cycles.
     pub(crate) lanes: LaneGroups,
     pub(crate) ctl: Ctl<S>,
 }
@@ -753,7 +739,6 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
                 out_regs: (0..n_regs).map(|_| OutRegState::Free).collect(),
                 woken: Vec::new(),
                 woken_peak: 0,
-                pending_skips: Vec::new(),
                 pending_outputs: n_pus,
                 open_units: Vec::new(),
                 first_overflow: None,
@@ -865,11 +850,10 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
         self.pus[p].wedge_at = Some(after_tokens.max(1));
     }
 
-    /// Arms the no-forward-progress watchdog: `run_channel` (serial or
-    /// pooled) ends with [`EngineRunError::Wedged`] /
-    /// [`EngineRunError::Stalled`] after `cycles` consecutive cycles in
-    /// which no byte moved, no token retired, and no DRAM request
-    /// advanced. `0` (the default) disables the watchdog. The watchdog
+    /// Arms the no-forward-progress watchdog: `run_channel` ends with
+    /// [`EngineRunError::Wedged`] / [`EngineRunError::Stalled`] after
+    /// `cycles` consecutive cycles in which no byte moved, no token
+    /// retired, and no DRAM request advanced. `0` (the default) disables the watchdog. The watchdog
     /// only observes — it never changes simulated state — so arming it
     /// on a healthy run costs a tuple compare per cycle and nothing
     /// else.
@@ -1073,21 +1057,21 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
         // --- Lane phase: residency upkeep and one SIMD sweep per lane
         // group, so the per-unit loop below finds resident units'
         // virtual cycles already retired. ---
-        lane_preeval(units, 0, pus, &ctl.params, lanes);
+        lane_preeval(units, pus, &ctl.params, lanes);
         // --- Processing units (active worklist, index order): evaluate
-        // and merge fused per unit. ---
+        // and apply fused per unit. ---
         active.retain(|&p| {
             if pus[p].finished {
                 // Finished during a naive tick; park it now.
                 pus[p].sleep = Some((ctl.stats.cycles, CycleClass::Drained));
                 false
             } else {
-                let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, lanes, 0, false);
+                let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, lanes, false);
                 ctl.apply_effect(&eff, pus)
             }
         });
 
-        ctl.finish_cycle(pus, &mut Some(units.as_mut_slice()), false);
+        ctl.finish_cycle(pus, units, false);
 
         if !ctl.woken.is_empty() {
             ctl.woken_peak = ctl.woken_peak.max(ctl.woken.len());
@@ -1122,12 +1106,12 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
                 }
                 continue;
             }
-            let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, lanes, 0, true);
+            let eff = eval_unit(p, &mut units[p], &pus[p], &ctl.params, lanes, true);
             let keep = ctl.apply_effect(&eff, pus);
             debug_assert!(keep, "reference evaluation never parks a unit");
         }
 
-        ctl.finish_cycle(pus, &mut Some(units.as_mut_slice()), true);
+        ctl.finish_cycle(pus, units, true);
     }
 
     /// Stores every resident unit back, flushes deferred accounting and
@@ -1135,9 +1119,8 @@ impl<U: StreamUnit, S: TraceSink> ChannelEngine<U, S> {
     /// off it — the naive loop handles them with its own per-cycle
     /// branch).
     fn flush_and_wake_all(&mut self) {
-        self.lanes.evict_all(&mut self.units, 0);
+        self.lanes.evict_all(&mut self.units);
         self.flush_trace();
-        debug_assert!(self.ctl.pending_skips.is_empty(), "skips drained at pooled teardown");
         self.ctl.woken.clear();
         self.active.clear();
         for p in 0..self.pus.len() {
@@ -1236,12 +1219,12 @@ impl<S: TraceSink> Ctl<S> {
         )
     }
 
-    /// Phase 2 of a cycle for one unit: applies its effect record to the
-    /// shared state — probes, buffer pops/pushes, stats, finish
-    /// bookkeeping, and the sleep transition. Returns whether the unit
-    /// stays on the active worklist. Must be called in ascending unit
-    /// index order within a cycle.
-    pub(crate) fn apply_effect(&mut self, eff: &PuEffect, pus: &mut [PuState]) -> bool {
+    /// The apply step of a cycle for one unit: performs its effect
+    /// record on the controller-side state — probes, buffer pops/pushes,
+    /// stats, finish bookkeeping, and the sleep transition. Returns
+    /// whether the unit stays on the active worklist. Must be called in
+    /// ascending unit index order within a cycle.
+    fn apply_effect(&mut self, eff: &PuEffect, pus: &mut [PuState]) -> bool {
         let p = eff.pu as usize;
         if self.probe.enabled() {
             self.probe.pu_cycle(eff.pu, eff.class);
@@ -1254,8 +1237,8 @@ impl<S: TraceSink> Ctl<S> {
         if eff.consumed {
             pus[p].in_buffer.pop_front_bytes(self.params.in_token_bytes);
             if let Some(at) = pus[p].wedge_at {
-                // Wedge enforcement lives in the serial merge phase, so
-                // it is identical on the serial, pooled, and naive paths.
+                // Wedge enforcement lives in the apply step, so it is
+                // identical on the fast and naive ticks.
                 pus[p].tokens_consumed += 1;
                 if pus[p].tokens_consumed >= at {
                     pus[p].wedged = true;
@@ -1285,29 +1268,17 @@ impl<S: TraceSink> Ctl<S> {
     }
 
     /// Accounts and ends unit `p`'s sleep; it rejoins the worklist next
-    /// cycle. Only called for input/output-stalled sleepers — finished
-    /// units sleep until the end of the run.
-    ///
-    /// With `units` present (serial mode) the skipped span is applied to
-    /// the unit immediately; in pooled mode (`None`) the unit lives with
-    /// a shard worker, so the span is parked in `pending_skips` for the
-    /// worker to apply before the unit's next evaluation.
-    fn wake<U: StreamUnit>(
-        &mut self,
-        p: usize,
-        pus: &mut [PuState],
-        units: &mut Option<&mut [U]>,
-    ) {
+    /// cycle, with its skipped span applied to the unit. Only called for
+    /// input/output-stalled sleepers — finished units sleep until the end
+    /// of the run.
+    fn wake<U: StreamUnit>(&mut self, p: usize, pus: &mut [PuState], units: &mut [U]) {
         if let Some((since, class)) = pus[p].sleep.take() {
             // The PU phase of the current cycle already ran, so the
             // current cycle is part of the skipped span.
             let skipped = self.stats.cycles + 1 - since;
             if skipped > 0 {
                 self.probe.pu_cycles(p as u32, class, skipped);
-                match units {
-                    Some(us) => us[p].skip_cycles(skipped),
-                    None => self.pending_skips.push((p, skipped)),
-                }
+                units[p].skip_cycles(skipped);
             }
             // Keep `woken` sorted: at most a handful of wakes per cycle,
             // in controller scan order rather than index order.
@@ -1324,16 +1295,10 @@ impl<S: TraceSink> Ctl<S> {
         }
     }
 
-    /// The back half of every cycle, shared by the serial, naive and
-    /// pooled drives: input controller, output controller, channel
-    /// probes, DRAM, cycle count — in that order. `units` is `None`
-    /// while the units live with the shard workers (see [`Ctl::wake`]).
-    pub(crate) fn finish_cycle<U: StreamUnit>(
-        &mut self,
-        pus: &mut [PuState],
-        units: &mut Option<&mut [U]>,
-        naive: bool,
-    ) {
+    /// The back half of every cycle, shared by the fast and naive
+    /// ticks: input controller, output controller, channel probes, DRAM,
+    /// cycle count — in that order.
+    fn finish_cycle<U: StreamUnit>(&mut self, pus: &mut [PuState], units: &mut [U], naive: bool) {
         self.input_controller_tick(pus, units, naive);
         self.output_controller_tick(pus, units, naive);
         self.channel_probes();
@@ -1578,7 +1543,7 @@ impl<S: TraceSink> Ctl<S> {
     fn input_controller_tick<U: StreamUnit>(
         &mut self,
         pus: &mut [PuState],
-        units: &mut Option<&mut [U]>,
+        units: &mut [U],
         naive: bool,
     ) {
         // 1. Addressing unit: issue at most one read address per cycle.
@@ -1695,7 +1660,7 @@ impl<S: TraceSink> Ctl<S> {
         } else {
             None
         };
-        debug_assert!(naive || self.in_regs.len() <= 128, "oldest-burst mask capacity");
+        debug_assert!(self.in_regs.len() <= MAX_BURST_REGISTERS, "checked by MemCtlConfig::check");
         let mut oldest_mask: u128 = 0;
         if oldest.is_none() {
             for (i, r) in self.in_regs.iter().enumerate() {
@@ -1884,7 +1849,7 @@ impl<S: TraceSink> Ctl<S> {
     fn output_controller_tick<U: StreamUnit>(
         &mut self,
         pus: &mut [PuState],
-        units: &mut Option<&mut [U]>,
+        units: &mut [U],
         naive: bool,
     ) {
         // 1. Allocate at most one burst register per cycle to a unit with

@@ -7,10 +7,10 @@
 //! long as it has an evaluation pending every cycle. It leaves (one
 //! store back into its `UnitState`) at the first sweep it has no work
 //! for: it slept on a back-pressured emission or a starved input,
-//! finished, or went dead with a wedge. Every drive scope also drops
-//! its groups wholesale ([`LaneGroups::evict_all`]) before anything
-//! else touches the units: at the end of a run (including an open
-//! run's suspend), before a pooled re-split, and before a naive tick.
+//! finished, or went dead with a wedge. The engine also drops its
+//! groups wholesale ([`LaneGroups::evict_all`]) before anything else
+//! touches the units: at the end of a run (including an open run's
+//! suspend) and before a naive tick.
 
 use fleet_compiler::{PuExec, PuExecBatch, MAX_LANES};
 
@@ -20,14 +20,11 @@ use crate::unit::StreamUnit;
 /// [`LaneGroups::home`] entry of a unit that is not resident.
 const NO_LANE: u32 = u32::MAX;
 
-/// The lane groups of one drive scope — the serial tick's, or one
-/// pooled shard's — and the residency bookkeeping around them. Unit
-/// indices are global; the scope's units start at its `base`.
+/// One engine's lane groups and the residency bookkeeping around them.
 #[derive(Debug, Default)]
 pub(crate) struct LaneGroups {
     groups: Vec<PuExecBatch>,
-    /// Per unit of the scope (index minus `base`): `group * MAX_LANES +
-    /// lane` while resident, [`NO_LANE`] otherwise. Sized at the first
+    /// Per unit: `group * MAX_LANES + lane` while resident, [`NO_LANE`] otherwise. Sized at the first
     /// join.
     home: Vec<u32>,
     /// Units that left this cycle's per-unit step lane-pending but not
@@ -36,8 +33,7 @@ pub(crate) struct LaneGroups {
 }
 
 impl LaneGroups {
-    /// `(group, lane)` of the scope's unit `i` (global index minus
-    /// `base`), if it is resident.
+    /// `(group, lane)` of unit `i`, if it is resident.
     #[inline]
     pub(crate) fn home(&self, i: usize) -> Option<(usize, usize)> {
         match self.home.get(i) {
@@ -53,12 +49,12 @@ impl LaneGroups {
     }
 
     /// Stores every resident unit back into its own state and forgets
-    /// the pending joiners. `units[p - base]` is unit `p`.
-    pub(crate) fn evict_all<U: StreamUnit>(&mut self, units: &mut [U], base: usize) {
+    /// the pending joiners.
+    pub(crate) fn evict_all<U: StreamUnit>(&mut self, units: &mut [U]) {
         let LaneGroups { groups, home, joiners } = self;
         for (g, group) in groups.iter_mut().enumerate() {
             while let Some(l) = group.len().checked_sub(1) {
-                leave(group, g, l, units, base, home);
+                leave(group, g, l, units, home);
             }
         }
         joiners.clear();
@@ -72,14 +68,13 @@ fn leave<U: StreamUnit>(
     g: usize,
     l: usize,
     units: &mut [U],
-    base: usize,
     home: &mut [u32],
 ) {
     let p = group.ids()[l];
-    let moved = group.leave(l, exec_mut(&mut units[p - base]));
-    home[p - base] = NO_LANE;
+    let moved = group.leave(l, exec_mut(&mut units[p]));
+    home[p] = NO_LANE;
     if let Some(m) = moved {
-        home[m - base] = (g * MAX_LANES + l) as u32;
+        home[m] = (g * MAX_LANES + l) as u32;
     }
 }
 
@@ -110,14 +105,10 @@ fn exec_mut<U: StreamUnit>(unit: &mut U) -> &mut PuExec {
 /// unit's latched `(state, input token, finished)` triple, and nothing
 /// between this phase and the unit's own step in the same cycle mutates
 /// it or the unit's `PuState`. Residency changes only where work is
-/// done, never what it computes, so serial and pooled drives may hold
-/// different groups and still agree on every bit.
-///
-/// `base` is the global index of `units[0]` (shards own a contiguous
-/// slice); `pus` is indexed globally.
+/// done, never what it computes, so any grouping agrees on every bit
+/// with the scalar path (lane width 1).
 pub(crate) fn lane_preeval<U: StreamUnit>(
     units: &mut [U],
-    base: usize,
     pus: &[PuState],
     params: &EvalParams,
     lanes: &mut LaneGroups,
@@ -132,13 +123,13 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
         while leaving != 0 {
             let l = 63 - leaving.leading_zeros() as usize;
             leaving &= !(1 << l);
-            leave(group, g, l, units, base, home);
+            leave(group, g, l, units, home);
         }
     }
     let resident: usize = groups.iter().map(PuExecBatch::len).sum();
     if resident + joiners.len() < 2 {
         if let Some(g) = groups.iter().position(|b| b.len() == 1) {
-            leave(&mut groups[g], g, 0, units, base, home);
+            leave(&mut groups[g], g, 0, units, home);
         }
         joiners.clear();
         return;
@@ -147,7 +138,7 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
         home.resize(units.len(), NO_LANE);
     }
     for &p in joiners.iter() {
-        let x = exec_mut(&mut units[p - base]);
+        let x = exec_mut(&mut units[p]);
         debug_assert!(x.lane_pending() && !x.resident(), "joiner {p} changed since its step");
         let g = match groups.iter().position(|b| !b.is_full() && b.matches(x)) {
             Some(g) => g,
@@ -166,7 +157,7 @@ pub(crate) fn lane_preeval<U: StreamUnit>(
             }
         };
         let l = groups[g].join(x, p);
-        home[p - base] = (g * MAX_LANES + l) as u32;
+        home[p] = (g * MAX_LANES + l) as u32;
     }
     joiners.clear();
     for group in groups.iter_mut().filter(|b| !b.is_empty()) {
@@ -425,8 +416,8 @@ pub(crate) mod tests {
             for (p, s) in full.iter().enumerate() {
                 fed[p] = (fed[p] + 160 + 29 * p).min(s.len());
             }
-            let a = fast.run_channel_open(10_000_000, None, 1).unwrap();
-            let b = twin.run_channel_open(10_000_000, None, 1).unwrap();
+            let a = fast.run_channel_open(10_000_000).unwrap();
+            let b = twin.run_channel_open(10_000_000).unwrap();
             assert_eq!(a, b, "round {round}");
             assert!(
                 (0..fast.len()).all(|p| fast.lanes.home(p).is_none()),

@@ -22,9 +22,9 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+mod drive;
 pub mod engine;
 mod lanes;
-mod par;
 pub mod pool;
 pub mod unit;
 
@@ -33,7 +33,7 @@ pub use engine::{
     dram_counters, ChannelEngine, EngineRunError, EngineStats, MisalignedClose, OpenStep,
     StreamAssignment,
 };
-pub use pool::{panic_message, SimPool, SimThreads};
+pub use pool::{SimPool, SimThreads};
 pub use unit::StreamUnit;
 
 #[cfg(test)]
@@ -464,26 +464,14 @@ mod tests {
     }
 
     #[test]
-    fn pooled_run_matches_serial_bit_for_bit() {
+    fn rerun_matches_bit_for_bit() {
         use fleet_trace::CounterSink;
 
         let spec = identity_spec();
         let stream: Vec<u8> = (0..900u32).map(|x| (x * 7 + 3) as u8).collect();
         let n = 10;
-
-        let mut serial = build_engine_with(
-            &spec,
-            MemCtlConfig::default(),
-            n,
-            &stream,
-            stream.len(),
-            CounterSink::new(),
-        );
-        let serial_cycles = serial.run_channel(1_000_000, None, 1).unwrap();
-
-        for threads in [2usize, 3, 8] {
-            let pool = SimPool::new(SimThreads::Fixed(threads));
-            let mut pooled = build_engine_with(
+        let run = || {
+            let mut eng = build_engine_with(
                 &spec,
                 MemCtlConfig::default(),
                 n,
@@ -491,28 +479,23 @@ mod tests {
                 stream.len(),
                 CounterSink::new(),
             );
-            let cycles = pooled.run_channel(1_000_000, Some(&pool), threads).unwrap();
-            assert_eq!(cycles, serial_cycles, "{threads} threads: cycle count diverged");
-            assert_eq!(pooled.stats(), serial.stats(), "{threads} threads: stats diverged");
-            assert_eq!(pooled.unit_vcycles(), serial.unit_vcycles());
-            for p in 0..n {
-                assert_eq!(
-                    pooled.output_bytes(p),
-                    serial.output_bytes(p),
-                    "{threads} threads: unit {p} output diverged"
-                );
-                assert_eq!(
-                    pooled.units()[p].counters(),
-                    serial.units()[p].counters(),
-                    "{threads} threads: unit {p} cycle classes diverged"
-                );
-            }
+            let cycles = eng.run_channel(1_000_000, None, 1).unwrap();
+            (cycles, eng)
+        };
+        let (first_cycles, first) = run();
+        let (cycles, again) = run();
+        assert_eq!(cycles, first_cycles, "cycle count diverged");
+        assert_eq!(again.stats(), first.stats(), "stats diverged");
+        assert_eq!(again.unit_vcycles(), first.unit_vcycles());
+        for p in 0..n {
+            assert_eq!(again.output_bytes(p), first.output_bytes(p), "unit {p} output diverged");
             assert_eq!(
-                pooled.sink(),
-                serial.sink(),
-                "{threads} threads: trace counters diverged"
+                again.units()[p].counters(),
+                first.units()[p].counters(),
+                "unit {p} cycle classes diverged"
             );
         }
+        assert_eq!(again.sink(), first.sink(), "trace counters diverged");
     }
 
     #[test]
@@ -548,7 +531,7 @@ mod tests {
             let chunk = chunk.min(stream.len() - fed);
             open.append_stream(0, &stream[fed..fed + chunk]);
             fed += chunk;
-            match open.run_channel_open(1_000_000, None, 1).unwrap() {
+            match open.run_channel_open(1_000_000).unwrap() {
                 OpenStep::Suspended(_) => {}
                 OpenStep::Done(_) => panic!("finished with the stream still open"),
             }
@@ -562,7 +545,7 @@ mod tests {
         }
         assert_eq!(fed, stream.len());
         open.close_stream(0).unwrap();
-        match open.run_channel_open(1_000_000, None, 1).unwrap() {
+        match open.run_channel_open(1_000_000).unwrap() {
             OpenStep::Done(_) => {}
             OpenStep::Suspended(_) => panic!("suspended after close with all input present"),
         }
@@ -600,7 +583,7 @@ mod tests {
         // Topping the token up makes the close legal.
         eng.append_stream(0, &[4, 5, 6, 7, 8]);
         eng.close_stream(0).unwrap();
-        let step = eng.run_channel_open(1_000_000, None, 1).unwrap();
+        let step = eng.run_channel_open(1_000_000).unwrap();
         assert!(matches!(step, OpenStep::Done(_)));
         assert_eq!(eng.output_bytes(0), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }

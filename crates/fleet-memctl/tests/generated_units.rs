@@ -1,5 +1,5 @@
 //! Generated units through the whole channel: the fast drive (lane
-//! groups at widths {1, 8, 64}, serial and pooled) against the naive
+//! groups at widths {1, 8, 64}) against the naive
 //! reference tick, which evaluates every unit every cycle through the
 //! seed-faithful reference program and never batches. Units come from
 //! `fleet_lang::generate`, so register swaps, multi-writer vector
@@ -10,7 +10,7 @@
 use fleet_axi::{DramChannel, DramConfig, BEAT_BYTES};
 use fleet_compiler::{CompiledUnit, PuExec};
 use fleet_lang::generate::{check_choices, unit_from_choices};
-use fleet_memctl::{ChannelEngine, MemCtlConfig, SimPool, SimThreads, StreamAssignment};
+use fleet_memctl::{ChannelEngine, MemCtlConfig, StreamAssignment};
 use fleet_trace::CounterSink;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -85,35 +85,28 @@ fn assert_same(label: &str, want: &mut Engine, got: &mut Engine) {
     }
 }
 
-/// The property: every (lane width, pool) drive equals the naive one.
-fn check(words: &[u32], pools: &[SimPool]) {
+/// The property: the fast drive at every lane width equals the naive one.
+fn check(words: &[u32]) {
     let mut naive = build(words, 1);
     while !naive.done() {
         naive.tick_naive();
         assert!(naive.stats().cycles < MAX_CYCLES, "naive drive did not finish");
     }
     for width in [1, 8, 64] {
-        for pool in pools {
-            let mut fast = build(words, width);
-            fast.run_channel(MAX_CYCLES, Some(pool), pool.workers()).expect("fast drive finishes");
-            assert_same(
-                &format!("lane width {width} x pool {}", pool.workers()),
-                &mut naive,
-                &mut fast,
-            );
-        }
+        let mut fast = build(words, width);
+        fast.run_channel(MAX_CYCLES, None, 1).expect("fast drive finishes");
+        assert_same(&format!("lane width {width}"), &mut naive, &mut fast);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Lane widths {1, 8, 64} x pools {1, 8} against the naive drive:
+    /// Lane widths {1, 8, 64} against the naive drive:
     /// stats, outputs, virtual cycles, cycle classes, trace counters and
     /// every unit's final state.
     #[test]
     fn generated_units_tick_like_tick_naive(words in proptest::collection::vec(any::<u32>(), 0..=96)) {
-        let pools = [SimPool::new(SimThreads::Fixed(1)), SimPool::new(SimThreads::Fixed(8))];
-        check_choices(&words, |w| check(w, &pools));
+        check_choices(&words, check);
     }
 }

@@ -7,11 +7,8 @@
 //! utilization statistics across runs, which is what capacity planning
 //! and the service report need.
 
-use std::sync::Arc;
-
 use fleet_compiler::CompiledUnit;
 use fleet_fault::FaultPlan;
-use fleet_memctl::SimPool;
 
 use crate::open::OpenRun;
 use crate::system::{run_system_faulted, RunFailure, RunReport, SystemConfig};
@@ -45,26 +42,12 @@ pub struct Instance {
     id: usize,
     cfg: SystemConfig,
     stats: InstanceStats,
-    /// Shared simulation worker pool. When set, every run evaluates its
-    /// PU shards on this pool; when absent, each run provisions its own
-    /// per [`SystemConfig::sim_threads`].
-    pool: Option<Arc<SimPool>>,
 }
 
 impl Instance {
     /// Creates an instance with the given id and configuration.
     pub fn new(id: usize, cfg: SystemConfig) -> Instance {
-        Instance { id, cfg, stats: InstanceStats::default(), pool: None }
-    }
-
-    /// Routes this instance's simulation work through `pool`, a pool
-    /// shared across instances so concurrent batches never oversubscribe
-    /// the host's cores. Thread count never changes results — only
-    /// wall-clock time.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<SimPool>) -> Instance {
-        self.pool = Some(pool);
-        self
+        Instance { id, cfg, stats: InstanceStats::default() }
     }
 
     /// The instance id (its index in the host's pool).
@@ -111,18 +94,18 @@ impl Instance {
         let mut cfg = self.cfg;
         cfg.out_capacity = out_capacity;
         cfg.fault = fault;
-        let result = run_system_faulted(unit, streams, &cfg, self.pool.as_deref());
+        let result = run_system_faulted(unit, streams, &cfg);
         self.record(result)
     }
 
     /// Builds a resumable [`OpenRun`] of `caps.len()` replicated units
     /// on this instance's platform, one open stream per entry with the
     /// given reserved input capacity — the incremental-execution handle
-    /// behind `fleet-session`. The run shares this instance's
-    /// simulation pool; it does not touch the instance statistics until
-    /// the caller accounts it with [`Instance::record_open_run`] (open
-    /// runs span many scheduler events, so accrual happens once at
-    /// session end, like a one-shot batch).
+    /// behind `fleet-session`. The run does not touch the instance
+    /// statistics until the caller accounts it with
+    /// [`Instance::record_open_run`] (open runs span many scheduler
+    /// events, so accrual happens once at session end, like a one-shot
+    /// batch).
     ///
     /// # Panics
     ///
@@ -135,7 +118,7 @@ impl Instance {
     ) -> OpenRun {
         let mut cfg = self.cfg;
         cfg.out_capacity = out_capacity;
-        OpenRun::new(unit, caps, cfg, self.pool.clone())
+        OpenRun::new(unit, caps, cfg)
     }
 
     /// Accounts one finished open (session) run into the lifetime

@@ -46,7 +46,7 @@ pub use instance::{Instance, InstanceStats};
 pub use open::{AdvanceReport, OpenRun, OpenStatus};
 pub use platform::{CpuPlatform, GpuPlatform, Platform};
 pub use fleet_fault::FaultPlan;
-pub use fleet_memctl::{MisalignedClose, SimPool, SimThreads};
+pub use fleet_memctl::{MisalignedClose, SimThreads};
 pub use system::{
     run_replicated, run_system, run_system_compiled, run_system_faulted, run_system_traced,
     RunFailure, RunReport, SystemConfig, SystemError,
@@ -74,7 +74,7 @@ pub fn build_system_engines(
 /// Like [`build_system_engines`], but every engine traces into its own
 /// [`fleet_trace::CounterSink`] — for equivalence tests that must
 /// compare full trace totals (per-PU cycle classes, queue statistics,
-/// event counts) across serial, pooled, and naive drives.
+/// event counts) between the fast and naive drives.
 pub fn build_system_engines_traced(
     unit: &fleet_compiler::CompiledUnit,
     streams: &[&[u8]],

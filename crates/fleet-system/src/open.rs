@@ -13,25 +13,22 @@
 //! stream still holds at least one full input burst, so every cycle an
 //! open run executes is bit-identical to the same-numbered cycle of a
 //! one-shot run over the full concatenated input: identical outputs,
-//! identical cycle counts, identical stats, at every sim-thread count.
-//! (`fleet-memctl::engine` documents the invariant; the proptests in
-//! `tests/sessions.rs` pin it across apps, chunkings, and thread
-//! counts.)
+//! identical cycle counts, identical stats. (`fleet-memctl::engine`
+//! documents the invariant; the proptests in `tests/sessions.rs` pin it
+//! across apps and chunkings.)
 //!
 //! **Windowed delivery.** [`OpenRun::take_output`] returns the newly
 //! *committed* output bytes of a stream — bytes whose DRAM writes have
 //! fully applied — so callers can stream results out while the run is
 //! suspended, without waiting for close.
 
-use std::sync::Arc;
-
 use fleet_compiler::{CompiledUnit, PuExec};
 use fleet_fault::FaultPlan;
-use fleet_memctl::{ChannelEngine, MisalignedClose, OpenStep, SimPool};
+use fleet_memctl::{ChannelEngine, MisalignedClose, OpenStep};
 use fleet_trace::NullSink;
 
 use crate::system::{
-    build_engines_with, shards_per, unit_error_to_stream, StreamInit, SystemConfig, SystemError,
+    build_engines_with, unit_error_to_stream, StreamInit, SystemConfig, SystemError,
 };
 
 /// How an [`OpenRun::advance`] quantum ended.
@@ -78,7 +75,6 @@ pub struct OpenRun {
     caps: Vec<usize>,
     /// Bytes already handed out by `take_output`, per stream.
     delivered: Vec<usize>,
-    pool: Option<Arc<SimPool>>,
     /// The first failure of an advance; the run is poisoned afterwards.
     failed: Option<SystemError>,
 }
@@ -97,12 +93,7 @@ impl OpenRun {
     /// # Panics
     ///
     /// Panics if `caps` is empty.
-    pub(crate) fn new(
-        unit: &CompiledUnit,
-        caps: &[usize],
-        cfg: SystemConfig,
-        pool: Option<Arc<SimPool>>,
-    ) -> OpenRun {
+    pub(crate) fn new(unit: &CompiledUnit, caps: &[usize], cfg: SystemConfig) -> OpenRun {
         let streams: Vec<StreamInit<'_>> =
             caps.iter().map(|&reserve| StreamInit { bytes: &[], reserve, open: true }).collect();
         let fault_free = SystemConfig { fault: FaultPlan::none(), ..cfg };
@@ -120,7 +111,6 @@ impl OpenRun {
             index_maps,
             caps: caps.to_vec(),
             delivered: vec![0; caps.len()],
-            pool,
             failed: None,
         }
     }
@@ -173,10 +163,9 @@ impl OpenRun {
     }
 
     /// Drives every channel until it finishes or suspends for more
-    /// input, serially on the calling thread (one engine at a time,
-    /// each still sharding its PU evaluation across the shared pool
-    /// when one is attached). Cumulative cycles across all advances are
-    /// bounded by `cfg.max_cycles` per channel.
+    /// input, serially on the calling thread (one engine at a time).
+    /// Cumulative cycles across all advances are bounded by
+    /// `cfg.max_cycles` per channel.
     ///
     /// # Errors
     ///
@@ -188,12 +177,10 @@ impl OpenRun {
             return Err(e.clone());
         }
         let before = self.cycles();
-        let pool = self.pool.as_deref();
-        let shards = shards_per(pool, self.engines.len());
         let mut status = OpenStatus::Done;
         for (eng, map) in self.engines.iter_mut().zip(&self.index_maps) {
             let budget = self.cfg.max_cycles.saturating_sub(eng.stats().cycles);
-            match eng.run_channel_open(budget, pool, shards) {
+            match eng.run_channel_open(budget) {
                 Ok(OpenStep::Done(_)) => {}
                 Ok(OpenStep::Suspended(_)) => status = OpenStatus::Suspended,
                 Err(e) => {

